@@ -10,7 +10,7 @@ use lfrt_bench::Args;
 use lfrt_core::{Edf, EdfPi, Lbesa, Llf, Rm, RuaLockBased, RuaLockFree};
 use lfrt_sim::mp::MpEngine;
 use lfrt_sim::workload::{ArrivalStyle, TufClass, WorkloadSpec};
-use lfrt_sim::{sojourn_percentiles, Engine, SharingMode, SimConfig, SimOutcome, TaskSpec};
+use lfrt_sim::{sojourn_percentiles, SharingMode, SimConfig, SimOutcome, TaskSpec};
 use lfrt_uam::{ArrivalTrace, TraceStats, Uam};
 
 fn spec_from(args: &Args) -> WorkloadSpec {
@@ -69,27 +69,15 @@ fn dispatch_run(
     cpus: usize,
     scheduler: &str,
 ) -> Result<SimOutcome, String> {
-    macro_rules! run_with {
-        ($sched:expr) => {
-            if cpus <= 1 {
-                Engine::new(tasks, traces, config)
-                    .map_err(|e| e.to_string())?
-                    .run($sched)
-            } else {
-                MpEngine::new(tasks, traces, config, cpus)
-                    .map_err(|e| e.to_string())?
-                    .run($sched)
-            }
-        };
-    }
+    let engine = MpEngine::new(tasks, traces, config, cpus).map_err(|e| e.to_string())?;
     Ok(match scheduler {
-        "rua" | "rua-lockfree" => run_with!(RuaLockFree::new()),
-        "rua-lockbased" => run_with!(RuaLockBased::new()),
-        "edf" => run_with!(Edf::new()),
-        "edf-pi" => run_with!(EdfPi::new()),
-        "rm" => run_with!(Rm::new()),
-        "llf" => run_with!(Llf::new()),
-        "lbesa" => run_with!(Lbesa::new()),
+        "rua" | "rua-lockfree" => engine.run(RuaLockFree::new()),
+        "rua-lockbased" => engine.run(RuaLockBased::new()),
+        "edf" => engine.run(Edf::new()),
+        "edf-pi" => engine.run(EdfPi::new()),
+        "rm" => engine.run(Rm::new()),
+        "llf" => engine.run(Llf::new()),
+        "lbesa" => engine.run(Lbesa::new()),
         other => return Err(format!("unknown scheduler {other:?}")),
     })
 }
@@ -315,6 +303,12 @@ mod tests {
     fn workload_rejects_unknown_inputs() {
         assert!(workload(&args(&[("scheduler", "what")])).is_err());
         assert!(workload(&args(&[("sharing", "what")])).is_err());
+    }
+
+    #[test]
+    fn workload_rejects_zero_cpus() {
+        let err = workload(&args(&[("cpus", "0")])).expect_err("no processor to run on");
+        assert!(err.contains("at least one processor"), "{err}");
     }
 
     #[test]

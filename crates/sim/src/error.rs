@@ -49,6 +49,18 @@ pub enum SimError {
         /// The offending task's name.
         task: String,
     },
+    /// A simulation was asked to run on zero processors.
+    ZeroProcessors,
+    /// A partitioned-dispatch assignment does not map every task to an
+    /// existing processor.
+    BadPartition {
+        /// Tasks in the simulation.
+        tasks: usize,
+        /// Processors in the simulation.
+        processors: usize,
+        /// The rejected task→processor assignment.
+        assignment: Vec<usize>,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -75,6 +87,17 @@ impl fmt::Display for SimError {
             SimError::NestedRequiresLockBased { task } => write!(
                 f,
                 "task {task} uses explicit acquire/release segments, which require lock-based sharing"
+            ),
+            SimError::ZeroProcessors => {
+                write!(f, "a simulation needs at least one processor, got 0")
+            }
+            SimError::BadPartition {
+                tasks,
+                processors,
+                assignment,
+            } => write!(
+                f,
+                "partition {assignment:?} must name one of {processors} processors (0-based) for each of {tasks} tasks"
             ),
         }
     }

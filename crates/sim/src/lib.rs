@@ -1,5 +1,5 @@
-//! A discrete-event uniprocessor RTOS simulator for utility-accrual
-//! scheduling experiments.
+//! A discrete-event RTOS simulator for utility-accrual scheduling
+//! experiments, on one processor ([`Engine::new`]) or `m` ([`mp`]).
 //!
 //! This crate is the testbed substrate of the reproduction of *Lock-Free
 //! Synchronization for Dynamic Embedded Real-Time Systems* (Cho, Ravindran,

@@ -1,12 +1,14 @@
-//! Multiprocessor extension (the paper's §7 future work).
+//! Multiprocessors (the paper's §7 future work).
 //!
-//! [`MpEngine`] runs the same task/object model on `m` identical processors
-//! under *global* scheduling: at every scheduling event the [`UaScheduler`]
-//! produces one priority order, and the engine assigns the first `m`
+//! The simulator has one event loop, [`Engine`], over `m` identical
+//! processors; [`MpEngine`] is the constructor that takes `m` and a
+//! [`DispatchPolicy`]. At every scheduling event the [`UaScheduler`]
+//! produces one priority order and the engine assigns the first `m`
 //! runnable jobs to processors (keeping already-placed jobs on their
-//! processor when possible).
+//! processor when possible), or under partitioned dispatch each processor
+//! takes the first runnable job of its own tasks.
 //!
-//! The interesting new physics is **true concurrency on shared objects**:
+//! The new physics at `m > 1` is **true concurrency on shared objects**:
 //!
 //! * lock-free accesses can now interfere *without preemption* — two jobs
 //!   on different processors access the same object simultaneously; the
@@ -19,25 +21,16 @@
 //!
 //! Simplifications versus a real SMP kernel, kept deliberately: the
 //! scheduler's overhead window freezes all processors (a global kernel
-//! lock), migration is free, and quantum-based scheduling
-//! ([`SimConfig::quantum`](crate::SimConfig::quantum)) is a uniprocessor
-//! feature — boundaries are ignored here.
+//! lock), migration is free, and a scheduling quantum
+//! ([`SimConfig::quantum`]) is one global tick that reschedules every
+//! processor at once.
 
 use lfrt_uam::ArrivalTrace;
 
-use crate::calendar::Calendar;
-use crate::engine::{SimConfig, SimOutcome};
+use crate::engine::{Engine, SimConfig, SimOutcome};
 use crate::error::SimError;
-use crate::event::EventKind;
-use crate::ids::{JobId, ObjectId, TaskId};
-use crate::job::{Job, JobPhase, JobRecord};
-use crate::metrics::SimMetrics;
-use crate::object::ObjectTable;
-use crate::scheduler::{JobView, SchedulerContext, UaScheduler};
-use crate::segment::{AccessKind, Segment};
-use crate::task::{ExecTimeModel, SharingMode, TaskSpec};
-use crate::tracelog::{AbortReason, TraceEvent, TraceLog};
-use crate::{SimTime, Ticks};
+use crate::scheduler::UaScheduler;
+use crate::task::TaskSpec;
 
 /// How jobs are mapped to processors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,8 +45,8 @@ pub enum DispatchPolicy {
     Partitioned(Vec<usize>),
 }
 
-/// A discrete-event simulator for `m` identical processors under global
-/// scheduling. See the [module docs](self) for the model.
+/// [`Engine`] on `m` identical processors. See the [module docs](self) for
+/// the model.
 ///
 /// # Examples
 ///
@@ -95,689 +88,40 @@ pub enum DispatchPolicy {
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct MpEngine {
-    tasks: Vec<TaskSpec>,
-    config: SimConfig,
-    processors: usize,
-    calendar: Calendar,
-    jobs: Vec<Job>,
-    live: Vec<JobId>,
-    objects: ObjectTable,
-    schedule: Vec<JobId>,
-    running: Vec<Option<JobId>>,
-    kernel_busy_until: SimTime,
-    resched_queued: bool,
-    now: SimTime,
-    metrics: SimMetrics,
-    records: Vec<JobRecord>,
-    exec_rng: Option<rand::rngs::StdRng>,
-    trace: TraceLog,
-    policy: DispatchPolicy,
-}
+pub struct MpEngine(Engine);
 
 impl MpEngine {
-    /// Creates an engine with `processors` identical CPUs.
+    /// Creates an engine with `processors` identical CPUs under
+    /// [`DispatchPolicy::Global`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError`] under the same conditions as
-    /// [`Engine::new`](crate::Engine::new), or if `processors` is zero
-    /// (reported as a missing field).
+    /// Returns [`SimError`] under the same conditions as [`Engine::new`],
+    /// and [`SimError::ZeroProcessors`] if `processors` is zero.
     pub fn new(
         tasks: Vec<TaskSpec>,
         traces: Vec<ArrivalTrace>,
         config: SimConfig,
         processors: usize,
     ) -> Result<Self, SimError> {
-        if processors == 0 {
-            return Err(SimError::MissingField {
-                field: "processors",
-            });
-        }
-        if tasks.len() != traces.len() {
-            return Err(SimError::TraceCountMismatch {
-                tasks: tasks.len(),
-                traces: traces.len(),
-            });
-        }
-        if !config.sharing().uses_locks() {
-            if let Some(task) = tasks.iter().find(|t| t.uses_explicit_locks()) {
-                return Err(SimError::NestedRequiresLockBased {
-                    task: task.name().to_string(),
-                });
-            }
-        }
-        let num_objects = tasks
-            .iter()
-            .flat_map(|t| t.segments().iter())
-            .filter_map(Segment::object)
-            .map(|o| o.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let mut calendar = Calendar::new();
-        for (idx, trace) in traces.iter().enumerate() {
-            for &t in trace.times() {
-                calendar.push(
-                    t,
-                    EventKind::Arrival {
-                        task: TaskId::new(idx),
-                    },
-                );
-            }
-        }
-        let mut objects = ObjectTable::new(num_objects);
-        objects.set_capacities(config.capacities());
-        let metrics = SimMetrics::new(tasks.len());
-        let exec_rng = match config.exec_time_model() {
-            ExecTimeModel::Nominal => None,
-            ExecTimeModel::Uniform { seed, .. } => Some(
-                <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(seed),
-            ),
-        };
-        Ok(Self {
-            tasks,
-            config,
-            processors,
-            calendar,
-            jobs: Vec::new(),
-            live: Vec::new(),
-            objects,
-            schedule: Vec::new(),
-            running: vec![None; processors],
-            kernel_busy_until: 0,
-            resched_queued: false,
-            now: 0,
-            metrics,
-            records: Vec::new(),
-            exec_rng,
-            trace: TraceLog::new(),
-            policy: DispatchPolicy::Global,
-        })
+        Engine::new(tasks, traces, config)?
+            .with_processors(processors)
+            .map(Self)
     }
 
-    /// Switches to partitioned dispatch with the given task→processor
-    /// assignment.
+    /// Switches to [`DispatchPolicy::Partitioned`] with the given
+    /// task→processor assignment.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::MissingField`] if the assignment's length differs
+    /// Returns [`SimError::BadPartition`] if the assignment's length differs
     /// from the task count or maps a task to a nonexistent processor.
-    pub fn with_partitioning(mut self, assignment: Vec<usize>) -> Result<Self, SimError> {
-        if assignment.len() != self.tasks.len()
-            || assignment.iter().any(|&cpu| cpu >= self.processors)
-        {
-            return Err(SimError::MissingField {
-                field: "partition assignment",
-            });
-        }
-        self.policy = DispatchPolicy::Partitioned(assignment);
-        Ok(self)
+    pub fn with_partitioning(self, assignment: Vec<usize>) -> Result<Self, SimError> {
+        self.0.with_partitioning(assignment).map(Self)
     }
 
     /// Runs the simulation to completion.
-    pub fn run<S: UaScheduler>(mut self, mut scheduler: S) -> SimOutcome {
-        loop {
-            let next = match (self.calendar.peek_time(), self.next_internal()) {
-                (None, None) => break,
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (Some(a), Some(b)) => a.min(b),
-            };
-            debug_assert!(next >= self.now, "time went backwards");
-            self.advance_running_to(next);
-            self.now = next;
-            self.metrics.makespan = self.metrics.makespan.max(self.now);
-
-            let mut resched = false;
-            // Failure injection: crashed jobs halt forever, locks kept.
-            for cpu in 0..self.processors {
-                let Some(id) = self.running[cpu] else {
-                    continue;
-                };
-                let job = &self.jobs[id.index()];
-                if let Some(crash) = self.tasks[job.task.index()].crash_after() {
-                    if job.executed >= crash && self.now >= self.kernel_busy_until {
-                        self.crash_job(id);
-                        resched = true;
-                    }
-                }
-            }
-            // Internal happenings on every processor, in index order. Only
-            // one completion per processor per decision point: follow-on
-            // zero-length segments are handled on the next loop pass, after
-            // same-instant external events — mirroring the uniprocessor
-            // engine's ordering exactly.
-            for cpu in 0..self.processors {
-                if self.cpu_activity_done(cpu) {
-                    resched |= self.handle_activity_completion(cpu);
-                }
-            }
-            while let Some((_, event)) = self.calendar.pop_due(self.now) {
-                match event {
-                    EventKind::Arrival { task } => {
-                        self.release_job(task);
-                        resched = true;
-                    }
-                    EventKind::CriticalTimeExpiry { job } => {
-                        if self.jobs[job.index()].phase.is_live() {
-                            self.abort_job(job, AbortReason::CriticalTime);
-                            resched = true;
-                        }
-                    }
-                    EventKind::Reschedule => {
-                        self.resched_queued = false;
-                        resched = true;
-                    }
-                }
-            }
-            // Either an explicit scheduling event occurred, or some CPU
-            // crossed into an access segment whose implied lock request is
-            // itself a scheduling event.
-            let implied = !resched && self.now >= self.kernel_busy_until && self.prepare_all();
-            if resched || implied {
-                self.request_reschedule(&mut scheduler);
-            }
-        }
-        SimOutcome {
-            metrics: self.metrics,
-            records: self.records,
-            trace: self.trace,
-        }
-    }
-
-    #[inline]
-    fn trace_event(&mut self, event: TraceEvent) {
-        if self.config.trace_enabled() {
-            self.trace.push(self.now, event);
-        }
-    }
-
-    fn next_internal(&self) -> Option<SimTime> {
-        let mut earliest: Option<SimTime> = None;
-        for cpu in 0..self.processors {
-            let Some(id) = self.running[cpu] else {
-                continue;
-            };
-            let t = if self.now < self.kernel_busy_until {
-                self.kernel_busy_until
-            } else {
-                let job = &self.jobs[id.index()];
-                let mut left = self.activity_duration(job).saturating_sub(job.seg_progress);
-                if let Some(crash) = self.tasks[job.task.index()].crash_after() {
-                    left = left.min(crash.saturating_sub(job.executed));
-                }
-                self.now + left
-            };
-            earliest = Some(earliest.map_or(t, |e: SimTime| e.min(t)));
-        }
-        earliest
-    }
-
-    fn activity_duration(&self, job: &Job) -> Ticks {
-        match self.tasks[job.task.index()].segments()[job.seg_idx] {
-            Segment::Compute(t) => (t as f64 * job.exec_scale).round() as Ticks,
-            Segment::Access { .. } => self.config.sharing().access_cost(),
-            Segment::Acquire { .. } | Segment::Release { .. } => 0,
-        }
-    }
-
-    fn advance_running_to(&mut self, next: SimTime) {
-        let start = self.now.max(self.kernel_busy_until);
-        if next <= start {
-            return;
-        }
-        for cpu in 0..self.processors {
-            if let Some(id) = self.running[cpu] {
-                let job = &mut self.jobs[id.index()];
-                job.seg_progress += next - start;
-                job.executed += next - start;
-                self.metrics.busy_ticks += next - start;
-            }
-        }
-    }
-
-    fn cpu_activity_done(&self, cpu: usize) -> bool {
-        match self.running[cpu] {
-            Some(id) if self.now >= self.kernel_busy_until => {
-                let job = &self.jobs[id.index()];
-                job.phase == JobPhase::Ready && job.seg_progress >= self.activity_duration(job)
-            }
-            _ => false,
-        }
-    }
-
-    /// Handles the job on `cpu` finishing its current activity. Returns
-    /// whether a scheduling event occurred.
-    fn handle_activity_completion(&mut self, cpu: usize) -> bool {
-        let id = self.running[cpu].expect("completion without a job");
-        let idx = id.index();
-        let task_idx = self.jobs[idx].task.index();
-        let segment = self.tasks[task_idx].segments()[self.jobs[idx].seg_idx];
-        let mut resched = false;
-        match segment {
-            Segment::Compute(_) => self.advance_segment(idx),
-            Segment::Access { object, kind } => match self.config.sharing() {
-                SharingMode::LockBased { .. } => {
-                    debug_assert!(self.jobs[idx].holds.contains(&object));
-                    self.release_lock(idx, id, object);
-                    if kind == AccessKind::Write {
-                        self.objects.commit_write(object);
-                    }
-                    self.advance_segment(idx);
-                    resched = true;
-                }
-                SharingMode::LockFree { .. } => {
-                    let started = self.jobs[idx]
-                        .access_start_version
-                        .expect("lock-free access without a start version");
-                    let current = self.objects.version(object);
-                    if current != started {
-                        let job = &mut self.jobs[idx];
-                        job.retries += 1;
-                        job.seg_progress = 0;
-                        job.access_start_version = Some(current);
-                        self.trace_event(TraceEvent::Retried { job: id, object });
-                    } else {
-                        if kind == AccessKind::Write {
-                            self.objects.commit_write(object);
-                        }
-                        self.jobs[idx].access_start_version = None;
-                        self.advance_segment(idx);
-                    }
-                }
-                SharingMode::Ideal => self.advance_segment(idx),
-            },
-            Segment::Acquire { object } => {
-                debug_assert!(self.jobs[idx].holds.contains(&object));
-                self.advance_segment(idx);
-            }
-            Segment::Release { object } => {
-                self.release_lock(idx, id, object);
-                self.objects.commit_write(object);
-                self.advance_segment(idx);
-                resched = true;
-            }
-        }
-        if self.jobs[idx].phase.is_live()
-            && self.jobs[idx].seg_idx >= self.tasks[task_idx].segments().len()
-        {
-            self.complete_job(id);
-            resched = true;
-        }
-        resched
-    }
-
-    fn advance_segment(&mut self, idx: usize) {
-        let job = &mut self.jobs[idx];
-        job.seg_idx += 1;
-        job.seg_progress = 0;
-    }
-
-    fn release_lock(&mut self, idx: usize, id: JobId, object: ObjectId) {
-        let woken = self.objects.unlock(object, id);
-        for w in woken {
-            self.jobs[w.index()].phase = JobPhase::Ready;
-            self.trace_event(TraceEvent::Woken { job: w, object });
-        }
-        self.jobs[idx].holds.retain(|&o| o != object);
-        self.trace_event(TraceEvent::LockReleased { job: id, object });
-    }
-
-    fn release_job(&mut self, task: TaskId) {
-        let spec = &self.tasks[task.index()];
-        let id = JobId::new(self.jobs.len());
-        let critical = spec.tuf().critical_time();
-        let max_utility = spec.tuf().max_utility();
-        let mut job = Job::new(id, task, self.now, critical);
-        if let (
-            ExecTimeModel::Uniform {
-                min_factor,
-                max_factor,
-                ..
-            },
-            Some(rng),
-        ) = (self.config.exec_time_model(), self.exec_rng.as_mut())
-        {
-            job.exec_scale = rand::RngExt::random_range(rng, min_factor..=max_factor);
-        }
-        self.calendar.push(
-            job.absolute_critical_time,
-            EventKind::CriticalTimeExpiry { job: id },
-        );
-        self.jobs.push(job);
-        self.live.push(id);
-        self.trace_event(TraceEvent::Released { job: id, task });
-        let tm = self.metrics.task_mut(task.index());
-        tm.released += 1;
-        tm.utility_possible += max_utility;
-    }
-
-    fn complete_job(&mut self, id: JobId) {
-        let idx = id.index();
-        let task_idx = self.jobs[idx].task.index();
-        let sojourn = self.now - self.jobs[idx].arrival;
-        let critical = self.tasks[task_idx].tuf().critical_time();
-        if sojourn >= critical {
-            self.abort_job(id, AbortReason::CriticalTime);
-            return;
-        }
-        let utility = self.tasks[task_idx].tuf().utility(sojourn);
-        {
-            let job = &mut self.jobs[idx];
-            job.phase = JobPhase::Completed;
-            job.resolved_at = Some(self.now);
-        }
-        self.trace_event(TraceEvent::Completed { job: id, utility });
-        let job = &self.jobs[idx];
-        let (retries, blockings, preemptions) = (job.retries, job.blockings, job.preemptions);
-        let tm = self.metrics.task_mut(task_idx);
-        tm.completed += 1;
-        tm.utility_accrued += utility;
-        tm.sojourn_sum += sojourn;
-        tm.sojourn_max = tm.sojourn_max.max(sojourn);
-        tm.retries += retries;
-        tm.blockings += blockings;
-        tm.preemptions += preemptions;
-        self.resolve(id, true, utility);
-    }
-
-    fn abort_job(&mut self, id: JobId, reason: AbortReason) {
-        let idx = id.index();
-        let task_idx = self.jobs[idx].task.index();
-        let held = std::mem::take(&mut self.jobs[idx].holds);
-        for object in held.into_iter().rev() {
-            let woken = self.objects.unlock(object, id);
-            for w in woken {
-                self.jobs[w.index()].phase = JobPhase::Ready;
-            }
-        }
-        if let JobPhase::Blocked(object) = self.jobs[idx].phase {
-            self.objects.remove_waiter(object, id);
-        }
-        {
-            let job = &mut self.jobs[idx];
-            job.phase = JobPhase::Aborted;
-            job.resolved_at = Some(self.now);
-        }
-        self.trace_event(TraceEvent::Aborted { job: id, reason });
-        let handler = self.tasks[task_idx].abort_handler_ticks();
-        if handler > 0 {
-            self.kernel_busy_until = self.kernel_busy_until.max(self.now) + handler;
-        }
-        let job = &self.jobs[idx];
-        let (retries, blockings, preemptions) = (job.retries, job.blockings, job.preemptions);
-        let tm = self.metrics.task_mut(task_idx);
-        tm.aborted += 1;
-        tm.retries += retries;
-        tm.blockings += blockings;
-        tm.preemptions += preemptions;
-        self.resolve(id, false, 0.0);
-    }
-
-    /// Failure injection: halt `id` forever with its locks kept (see the
-    /// uniprocessor engine's `crash_job`).
-    fn crash_job(&mut self, id: JobId) {
-        let idx = id.index();
-        let task_idx = self.jobs[idx].task.index();
-        {
-            let job = &mut self.jobs[idx];
-            job.phase = JobPhase::Crashed;
-            job.resolved_at = Some(self.now);
-        }
-        self.trace_event(TraceEvent::Crashed { job: id });
-        let job = &self.jobs[idx];
-        let (retries, blockings, preemptions) = (job.retries, job.blockings, job.preemptions);
-        let tm = self.metrics.task_mut(task_idx);
-        tm.crashed += 1;
-        tm.retries += retries;
-        tm.blockings += blockings;
-        tm.preemptions += preemptions;
-        self.resolve(id, false, 0.0);
-    }
-
-    fn resolve(&mut self, id: JobId, completed: bool, utility: f64) {
-        self.live.retain(|&j| j != id);
-        for slot in &mut self.running {
-            if *slot == Some(id) {
-                *slot = None;
-            }
-        }
-        if self.config.record_jobs_enabled() {
-            let job = &self.jobs[id.index()];
-            self.records.push(JobRecord {
-                id,
-                task: job.task,
-                arrival: job.arrival,
-                resolved_at: job.resolved_at.expect("resolved job has a time"),
-                completed,
-                utility,
-                retries: job.retries,
-                blockings: job.blockings,
-                preemptions: job.preemptions,
-            });
-        }
-    }
-
-    fn request_reschedule<S: UaScheduler>(&mut self, scheduler: &mut S) {
-        if self.now < self.kernel_busy_until {
-            if !self.resched_queued {
-                self.calendar
-                    .push(self.kernel_busy_until, EventKind::Reschedule);
-                self.resched_queued = true;
-            }
-            return;
-        }
-        let previously: Vec<Option<JobId>> = self.running.clone();
-        loop {
-            let decision = {
-                let ctx = self.scheduler_context();
-                scheduler.schedule(&ctx)
-            };
-            let charge = self.config.overhead_model().charge(decision.ops);
-            self.trace_event(TraceEvent::SchedulerInvoked { ops: decision.ops });
-            self.metrics.sched_invocations += 1;
-            self.metrics.sched_ops += decision.ops;
-            self.metrics.overhead_ticks += charge;
-            self.kernel_busy_until = self.kernel_busy_until.max(self.now) + charge;
-            let mut aborted_any = false;
-            for &victim in &decision.aborts {
-                if self.jobs[victim.index()].phase.is_live() {
-                    self.abort_job(victim, AbortReason::Deadlock);
-                    aborted_any = true;
-                }
-            }
-            if aborted_any {
-                continue;
-            }
-            self.schedule = decision.order;
-            self.dispatch();
-            if !self.prepare_all() {
-                break;
-            }
-        }
-        for (cpu, prev) in previously.iter().enumerate() {
-            if let Some(p) = *prev {
-                let still_running = self.running.contains(&Some(p));
-                if !still_running && self.jobs[p.index()].phase == JobPhase::Ready {
-                    self.jobs[p.index()].preemptions += 1;
-                    self.trace_event(TraceEvent::Preempted { job: p });
-                }
-            }
-            if self.running[cpu] != *prev {
-                if let Some(job) = self.running[cpu] {
-                    self.trace_event(TraceEvent::Dispatched { job });
-                }
-            }
-        }
-    }
-
-    fn scheduler_context(&self) -> SchedulerContext<'_> {
-        let jobs = self
-            .live
-            .iter()
-            .map(|&id| {
-                let job = &self.jobs[id.index()];
-                let spec = &self.tasks[job.task.index()];
-                JobView {
-                    id,
-                    task: job.task,
-                    arrival: job.arrival,
-                    absolute_critical_time: job.absolute_critical_time,
-                    window: spec.uam().window(),
-                    tuf: spec.tuf(),
-                    remaining: job.remaining_exec(spec.segments(), self.config.sharing()),
-                    blocked_on: match job.phase {
-                        JobPhase::Blocked(o) => Some(o),
-                        _ => None,
-                    },
-                    holds: job.holds.clone(),
-                }
-            })
-            .collect();
-        SchedulerContext {
-            now: self.now,
-            jobs,
-        }
-    }
-
-    /// Assigns runnable jobs to processors according to the dispatch
-    /// policy, keeping already-placed jobs on their processor where
-    /// possible.
-    fn dispatch(&mut self) {
-        if let DispatchPolicy::Partitioned(assignment) = &self.policy {
-            let assignment = assignment.clone();
-            self.dispatch_partitioned(&assignment);
-            return;
-        }
-        let mut chosen: Vec<JobId> = Vec::with_capacity(self.processors);
-        for &id in &self.schedule {
-            if chosen.len() == self.processors {
-                break;
-            }
-            if self.jobs[id.index()].phase == JobPhase::Ready && !chosen.contains(&id) {
-                chosen.push(id);
-            }
-        }
-        if chosen.len() < self.processors {
-            // Work-conserving fallback: fill with ready jobs by ECF.
-            let mut rest: Vec<JobId> = self
-                .live
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    self.jobs[id.index()].phase == JobPhase::Ready && !chosen.contains(&id)
-                })
-                .collect();
-            rest.sort_by_key(|&id| self.jobs[id.index()].absolute_critical_time);
-            for id in rest {
-                if chosen.len() == self.processors {
-                    break;
-                }
-                chosen.push(id);
-            }
-        }
-        // Keep affinity: jobs already running stay; fill the gaps.
-        let mut next: Vec<Option<JobId>> = vec![None; self.processors];
-        for (slot, current) in next.iter_mut().zip(&self.running) {
-            if let Some(id) = *current {
-                if chosen.contains(&id) {
-                    *slot = Some(id);
-                }
-            }
-        }
-        let mut remaining: Vec<JobId> = chosen
-            .into_iter()
-            .filter(|id| !next.contains(&Some(*id)))
-            .collect();
-        for slot in next.iter_mut() {
-            if slot.is_none() {
-                if let Some(id) = remaining.first().copied() {
-                    remaining.remove(0);
-                    *slot = Some(id);
-                }
-            }
-        }
-        self.running = next;
-    }
-
-    /// Partitioned dispatch: each processor independently picks the first
-    /// ready job of its own tasks in the schedule's priority order (falling
-    /// back to ECF among its ready jobs when the schedule lists none).
-    fn dispatch_partitioned(&mut self, assignment: &[usize]) {
-        let mut next: Vec<Option<JobId>> = vec![None; self.processors];
-        for (cpu, slot) in next.iter_mut().enumerate() {
-            let mine = |id: JobId| {
-                let job = &self.jobs[id.index()];
-                assignment[job.task.index()] == cpu && job.phase == JobPhase::Ready
-            };
-            *slot = self
-                .schedule
-                .iter()
-                .copied()
-                .find(|&id| mine(id))
-                .or_else(|| {
-                    self.live
-                        .iter()
-                        .copied()
-                        .filter(|&id| mine(id))
-                        .min_by_key(|&id| self.jobs[id.index()].absolute_critical_time)
-                });
-        }
-        self.running = next;
-    }
-
-    /// Prepares every processor's current segment. Returns whether any lock
-    /// request (a scheduling event) occurred.
-    fn prepare_all(&mut self) -> bool {
-        let mut resched = false;
-        for cpu in 0..self.processors {
-            resched |= self.prepare_cpu(cpu);
-        }
-        resched
-    }
-
-    fn prepare_cpu(&mut self, cpu: usize) -> bool {
-        let Some(id) = self.running[cpu] else {
-            return false;
-        };
-        let idx = id.index();
-        let job = &self.jobs[idx];
-        if job.seg_idx >= self.tasks[job.task.index()].segments().len() {
-            return false;
-        }
-        let segment = self.tasks[job.task.index()].segments()[job.seg_idx];
-        match (segment, self.config.sharing()) {
-            (Segment::Access { object, .. }, SharingMode::LockBased { .. })
-                if !self.jobs[idx].holds.contains(&object) =>
-            {
-                self.request_lock(cpu, idx, id, object);
-                true
-            }
-            (Segment::Acquire { object }, SharingMode::LockBased { .. })
-                if !self.jobs[idx].holds.contains(&object) =>
-            {
-                self.request_lock(cpu, idx, id, object);
-                true
-            }
-            (Segment::Access { object, .. }, SharingMode::LockFree { .. })
-                if self.jobs[idx].access_start_version.is_none() =>
-            {
-                self.jobs[idx].access_start_version = Some(self.objects.version(object));
-                false
-            }
-            _ => false,
-        }
-    }
-
-    fn request_lock(&mut self, cpu: usize, idx: usize, id: JobId, object: ObjectId) {
-        if self.objects.try_lock(object, id) {
-            self.jobs[idx].holds.push(object);
-            self.trace_event(TraceEvent::LockAcquired { job: id, object });
-        } else {
-            self.jobs[idx].phase = JobPhase::Blocked(object);
-            self.jobs[idx].blockings += 1;
-            self.running[cpu] = None;
-            self.trace_event(TraceEvent::Blocked { job: id, object });
-        }
+    pub fn run<S: UaScheduler>(self, scheduler: S) -> SimOutcome {
+        self.0.run(scheduler)
     }
 }

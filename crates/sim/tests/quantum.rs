@@ -3,6 +3,7 @@
 //! round-robin-style sharing — and with object accesses shorter than the
 //! quantum, contended lock-free accesses retry at most once each.
 
+use lfrt_sim::mp::MpEngine;
 use lfrt_sim::{
     AccessKind, Decision, Engine, JobId, ObjectId, SchedulerContext, Segment, SharingMode,
     SimConfig, TaskSpec, UaScheduler,
@@ -140,4 +141,43 @@ fn quantum_does_not_fire_when_idle() {
     assert_eq!(outcome.metrics.completed(), 1);
     // Scheduler fired at arrival, completion, and at most one boundary.
     assert!(outcome.metrics.sched_invocations <= 4);
+}
+
+#[test]
+fn quantum_boundaries_invoke_the_scheduler_on_two_cpus() {
+    // Three equal long jobs on two processors. Without a quantum nothing
+    // re-invokes round-robin until the first two complete; with one, every
+    // boundary reschedules both processors and the three jobs share them.
+    let run = |config: SimConfig| {
+        let tasks = (0..3)
+            .map(|i| task(&format!("t{i}"), 50_000, vec![Segment::Compute(1_000)]))
+            .collect();
+        let traces = (0..3).map(|_| ArrivalTrace::new(vec![0])).collect();
+        MpEngine::new(tasks, traces, config, 2)
+            .expect("valid engine")
+            .run(RoundRobin::new())
+    };
+    let plain = run(SimConfig::new(SharingMode::Ideal));
+    let sliced = run(SimConfig::new(SharingMode::Ideal).quantum(100));
+    assert_eq!(plain.metrics.completed(), 3);
+    assert_eq!(sliced.metrics.completed(), 3);
+    assert_eq!(plain.metrics.preemptions(), 0);
+    assert!(
+        sliced.metrics.preemptions() >= 8,
+        "quantum boundaries force interleaving (got {})",
+        sliced.metrics.preemptions()
+    );
+    // 3000 ticks of work on two processors end at 1500, so the boundaries
+    // at 100..=1400 pass while jobs are live; each invokes the scheduler.
+    assert!(plain.metrics.sched_invocations <= 4);
+    assert!(
+        sliced.metrics.sched_invocations >= 14,
+        "got {}",
+        sliced.metrics.sched_invocations
+    );
+    // Sharing equalizes completion: all three finish within two quanta of
+    // 1500 instead of two at 1000 and one at 2000.
+    for r in &sliced.records {
+        assert!(r.resolved_at.abs_diff(1_500) <= 200, "{:?}", sliced.records);
+    }
 }

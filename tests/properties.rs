@@ -142,38 +142,6 @@ proptest! {
         }
     }
 
-    /// The multiprocessor engine at m = 1 is record-for-record identical to
-    /// the uniprocessor engine, on arbitrary workloads and both RUA
-    /// variants — a differential check of two independent event loops.
-    #[test]
-    fn mp_engine_with_one_cpu_equals_engine(spec in arb_spec()) {
-        for lock_based in [false, true] {
-            let sharing = if lock_based {
-                SharingMode::LockBased { access_ticks: 40 }
-            } else {
-                SharingMode::LockFree { access_ticks: 15 }
-            };
-            let (tasks, traces) = spec.build().expect("valid workload");
-            let uni = Engine::new(tasks, traces, SimConfig::new(sharing))
-                .expect("valid engine");
-            let uni = if lock_based {
-                uni.run(RuaLockBased::new())
-            } else {
-                uni.run(RuaLockFree::new())
-            };
-            let (tasks, traces) = spec.build().expect("valid workload");
-            let mp = MpEngine::new(tasks, traces, SimConfig::new(sharing), 1)
-                .expect("valid engine");
-            let mp = if lock_based {
-                mp.run(RuaLockBased::new())
-            } else {
-                mp.run(RuaLockFree::new())
-            };
-            prop_assert_eq!(&uni.records, &mp.records);
-            prop_assert_eq!(&uni.metrics, &mp.metrics);
-        }
-    }
-
     /// More processors never lose utility on the same workload.
     #[test]
     fn extra_cpus_never_hurt(spec in arb_spec()) {
