@@ -142,13 +142,16 @@ mod tests {
 
     #[test]
     fn chained_context_is_acyclic() {
-        use lfrt_core::dependency::dependency_chain;
+        use lfrt_core::dependency::Dependencies;
         use lfrt_core::OpsCounter;
         let w = SyntheticWorkload::new(64);
         let ctx = w.chained(64, 8);
-        for j in &ctx.jobs {
-            let chain = dependency_chain(&ctx, j.id, &mut OpsCounter::new());
-            assert!(!chain.is_cycle(), "synthetic chains must not deadlock");
+        let mut dependencies = Dependencies::new();
+        dependencies.resolve(&ctx);
+        let mut chain = Vec::new();
+        for job in 0..ctx.jobs.len() {
+            let kind = dependencies.chain(job, &mut chain, &mut OpsCounter::new());
+            assert!(!kind.is_cycle(), "synthetic chains must not deadlock");
         }
     }
 }

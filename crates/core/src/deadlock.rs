@@ -6,34 +6,34 @@
 //! nested sections, so this module is never triggered there; it is
 //! implemented and tested for completeness with §3's full description.
 
-use lfrt_sim::{JobId, SchedulerContext};
+use lfrt_sim::SchedulerContext;
 
-use crate::dependency::Chain;
 use crate::ops::OpsCounter;
 use crate::pud::chain_pud;
 
-/// Picks the deadlock victim from a detected cycle: the job whose singleton
-/// PUD (its own utility density) is lowest — the member "likely to
-/// contribute the least utility" (§3.3). Ties break toward the higher job
-/// id (the younger job).
+/// Picks the deadlock victim from a detected cycle (positions in `ctx.jobs`,
+/// as [`Dependencies::chain`](crate::dependency::Dependencies::chain)
+/// reports them): the job whose singleton PUD (its own utility density) is
+/// lowest — the member "likely to contribute the least utility" (§3.3). Ties
+/// break toward the higher job id (the younger job).
 ///
-/// Returns `None` if the chain is not a cycle or the cycle is empty.
+/// Returns the victim's position, or `None` if the cycle is empty.
+///
+/// # Panics
+///
+/// Panics if a member is not a position in `ctx.jobs`.
 pub fn select_victim(
     ctx: &SchedulerContext<'_>,
-    chain: &Chain,
+    cycle: &[usize],
     ops: &mut OpsCounter,
-) -> Option<JobId> {
-    if !chain.is_cycle() {
-        return None;
-    }
-    chain
-        .jobs()
+) -> Option<usize> {
+    cycle
         .iter()
         .map(|&job| (chain_pud(ctx, &[job], ops), job))
         .min_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .expect("PUDs are finite")
-                .then(b.1.cmp(&a.1))
+                .then(ctx.jobs[b.1].id.cmp(&ctx.jobs[a.1].id))
         })
         .map(|(_, job)| job)
 }
@@ -41,7 +41,7 @@ pub fn select_victim(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfrt_sim::{JobView, ObjectId, TaskId};
+    use lfrt_sim::{JobId, JobView, ObjectId, TaskId};
     use lfrt_tuf::Tuf;
 
     #[test]
@@ -63,21 +63,17 @@ mod tests {
             now: 0,
             jobs: vec![mk(1, &high, 2, 1), mk(2, &low, 1, 2)],
         };
-        let cycle = Chain::Cycle(vec![JobId::new(1), JobId::new(2)]);
-        let victim = select_victim(&ctx, &cycle, &mut OpsCounter::new());
-        assert_eq!(victim, Some(JobId::new(2)), "low-utility member dies");
+        let victim = select_victim(&ctx, &[0, 1], &mut OpsCounter::new());
+        assert_eq!(victim, Some(1), "low-utility member dies");
     }
 
     #[test]
-    fn acyclic_chain_has_no_victim() {
-        let tuf = Tuf::step(1.0, 1_000).expect("valid");
+    fn empty_cycle_has_no_victim() {
         let ctx = SchedulerContext {
             now: 0,
             jobs: Vec::new(),
         };
-        let _ = &tuf;
-        let chain = Chain::Acyclic(vec![JobId::new(1)]);
-        assert_eq!(select_victim(&ctx, &chain, &mut OpsCounter::new()), None);
+        assert_eq!(select_victim(&ctx, &[], &mut OpsCounter::new()), None);
     }
 
     #[test]
@@ -94,12 +90,14 @@ mod tests {
             blocked_on: Some(ObjectId::new(0)),
             holds: vec![ObjectId::new(1)],
         };
+        // The younger job is listed first: ids decide, not positions.
         let ctx = SchedulerContext {
             now: 0,
-            jobs: vec![mk(1), mk(2)],
+            jobs: vec![mk(2), mk(1)],
         };
-        let cycle = Chain::Cycle(vec![JobId::new(1), JobId::new(2)]);
-        let victim = select_victim(&ctx, &cycle, &mut OpsCounter::new());
-        assert_eq!(victim, Some(JobId::new(2)));
+        let mut ops = OpsCounter::new();
+        assert_eq!(select_victim(&ctx, &[0, 1], &mut ops), Some(0));
+        assert_eq!(select_victim(&ctx, &[1, 0], &mut ops), Some(0));
+        assert_eq!(ops.total(), 4, "one singleton PUD per member");
     }
 }

@@ -1,4 +1,4 @@
-use lfrt_sim::{Decision, JobId, SchedulerContext, UaScheduler};
+use lfrt_sim::{Decision, JobId, SchedulerContext, SimTime, UaScheduler};
 
 use crate::ops::OpsCounter;
 
@@ -21,8 +21,14 @@ use crate::ops::OpsCounter;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Edf {
-    _private: (),
+    /// Every job's `(critical time, id)`, read once and sorted in place.
+    keys: Vec<(SimTime, JobId)>,
 }
+
+// The sort charges one operation per comparison, and std's stable sort takes
+// a different number of comparisons for elements above 16 bytes (see
+// `construct.rs`). The charged counts are those of sorting 8-byte job ids.
+const _: () = assert!(std::mem::size_of::<(SimTime, JobId)>() <= 16);
 
 impl Edf {
     /// Creates the scheduler.
@@ -38,15 +44,15 @@ impl UaScheduler for Edf {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
-        let mut order: Vec<JobId> = ctx.jobs.iter().map(|j| j.id).collect();
-        order.sort_by(|&a, &b| {
+        self.keys.clear();
+        self.keys
+            .extend(ctx.jobs.iter().map(|j| (j.absolute_critical_time, j.id)));
+        self.keys.sort_by(|a, b| {
             ops.tick();
-            let ka = ctx.job(a).map(|j| j.absolute_critical_time);
-            let kb = ctx.job(b).map(|j| j.absolute_critical_time);
-            ka.cmp(&kb).then(a.cmp(&b))
+            a.cmp(b)
         });
         Decision {
-            order,
+            order: self.keys.iter().map(|&(_, id)| id).collect(),
             ops: ops.total(),
             aborts: Vec::new(),
         }

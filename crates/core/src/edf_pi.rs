@@ -1,6 +1,6 @@
 use lfrt_sim::{Decision, JobId, SchedulerContext, SimTime, UaScheduler};
 
-use crate::dependency::{dependency_chain, Chain};
+use crate::dependency::Dependencies;
 use crate::ops::OpsCounter;
 
 /// EDF with *priority inheritance*: a lock holder inherits the earliest
@@ -28,7 +28,11 @@ use crate::ops::OpsCounter;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EdfPi {
-    _private: (),
+    dependencies: Dependencies,
+    /// The chain being walked, as positions in the context's `jobs`.
+    chain: Vec<usize>,
+    /// Every job's `(id, effective deadline)`, in context order until sorted.
+    effective: Vec<(JobId, SimTime)>,
 }
 
 impl EdfPi {
@@ -45,26 +49,26 @@ impl UaScheduler for EdfPi {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
+        let Self {
+            dependencies,
+            chain,
+            effective,
+        } = self;
+        dependencies.resolve(ctx);
         // Effective deadline: own critical time, tightened by every job
         // whose dependency chain runs through this one.
-        let mut effective: Vec<(JobId, SimTime)> = ctx
-            .jobs
-            .iter()
-            .map(|j| (j.id, j.absolute_critical_time))
-            .collect();
-        for view in &ctx.jobs {
-            let chain = dependency_chain(ctx, view.id, &mut ops);
-            let Chain::Acyclic(members) = chain else {
+        effective.clear();
+        effective.extend(ctx.jobs.iter().map(|j| (j.id, j.absolute_critical_time)));
+        for (job, view) in ctx.jobs.iter().enumerate() {
+            chain.clear();
+            if dependencies.chain(job, chain, &mut ops).is_cycle() {
                 continue;
-            };
-            for member in members {
-                if member == view.id {
-                    continue;
-                }
-                if let Some(entry) = effective.iter_mut().find(|(id, _)| *id == member) {
-                    ops.tick();
-                    entry.1 = entry.1.min(view.absolute_critical_time);
-                }
+            }
+            // Everyone ahead of the job itself, which ends its chain.
+            for &member in &chain[..chain.len() - 1] {
+                ops.tick();
+                let deadline = &mut effective[member].1;
+                *deadline = (*deadline).min(view.absolute_critical_time);
             }
         }
         effective.sort_by(|a, b| {
@@ -72,7 +76,7 @@ impl UaScheduler for EdfPi {
             (a.1, a.0).cmp(&(b.1, b.0))
         });
         Decision {
-            order: effective.into_iter().map(|(id, _)| id).collect(),
+            order: effective.iter().map(|&(id, _)| id).collect(),
             ops: ops.total(),
             aborts: Vec::new(),
         }

@@ -1,4 +1,4 @@
-use lfrt_sim::{Decision, JobId, SchedulerContext, UaScheduler};
+use lfrt_sim::{Decision, SchedulerContext, UaScheduler};
 
 use crate::ops::OpsCounter;
 use crate::pud::chain_pud;
@@ -30,7 +30,8 @@ use crate::pud::chain_pud;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Lbesa {
-    _private: (),
+    /// The tentative schedule, as positions in the context's `jobs`.
+    order: Vec<usize>,
 }
 
 impl Lbesa {
@@ -47,44 +48,45 @@ impl UaScheduler for Lbesa {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
+        let jobs = &ctx.jobs;
+        let order = &mut self.order;
         // Deadline-ordered tentative schedule of every live job.
-        let mut order: Vec<JobId> = ctx.jobs.iter().map(|j| j.id).collect();
+        order.clear();
+        order.extend(0..jobs.len());
         order.sort_by(|&a, &b| {
             ops.tick();
-            let ka = ctx.job(a).map(|j| j.absolute_critical_time);
-            let kb = ctx.job(b).map(|j| j.absolute_critical_time);
-            ka.cmp(&kb).then(a.cmp(&b))
+            let (a, b) = (&jobs[a], &jobs[b]);
+            (a.absolute_critical_time, a.id).cmp(&(b.absolute_critical_time, b.id))
         });
         // Shed the lowest-utility-density job until feasible.
-        while !feasible(ctx, &order, &mut ops) {
+        while !feasible(ctx, order, &mut ops) {
             let Some(worst) = order
                 .iter()
-                .copied()
-                .map(|id| (chain_pud(ctx, &[id], &mut ops), id))
+                .map(|&job| (chain_pud(ctx, &[job], &mut ops), job))
                 .min_by(|a, b| {
                     a.0.partial_cmp(&b.0)
                         .expect("finite PUDs")
-                        .then(b.1.cmp(&a.1))
+                        .then(jobs[b.1].id.cmp(&jobs[a.1].id))
                 })
             else {
                 break;
             };
-            order.retain(|&id| id != worst.1);
+            order.retain(|&job| job != worst.1);
             ops.charge_log(order.len());
         }
         Decision {
-            order,
+            order: order.iter().map(|&job| jobs[job].id).collect(),
             ops: ops.total(),
             aborts: Vec::new(),
         }
     }
 }
 
-fn feasible(ctx: &SchedulerContext<'_>, order: &[JobId], ops: &mut OpsCounter) -> bool {
+fn feasible(ctx: &SchedulerContext<'_>, order: &[usize], ops: &mut OpsCounter) -> bool {
     let mut elapsed = 0u64;
-    for &id in order {
+    for &job in order {
         ops.tick();
-        let Some(view) = ctx.job(id) else { continue };
+        let view = &ctx.jobs[job];
         elapsed += view.remaining;
         if ctx.now + elapsed > view.absolute_critical_time {
             return false;
@@ -96,7 +98,7 @@ fn feasible(ctx: &SchedulerContext<'_>, order: &[JobId], ops: &mut OpsCounter) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfrt_sim::{JobView, TaskId};
+    use lfrt_sim::{JobId, JobView, TaskId};
     use lfrt_tuf::Tuf;
 
     fn ctx_of<'a>(tufs: &'a [Tuf], jobs: &[(u64, u64)]) -> SchedulerContext<'a> {

@@ -1,4 +1,4 @@
-use lfrt_sim::{Decision, JobId, SchedulerContext, UaScheduler};
+use lfrt_sim::{Decision, SchedulerContext, UaScheduler};
 
 use crate::ops::OpsCounter;
 
@@ -24,7 +24,8 @@ use crate::ops::OpsCounter;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Llf {
-    _private: (),
+    /// The order being sorted, as positions in the context's `jobs`.
+    order: Vec<usize>,
 }
 
 impl Llf {
@@ -41,20 +42,21 @@ impl UaScheduler for Llf {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
-        let laxity = |id: JobId| -> Option<(i128, JobId)> {
-            let j = ctx.job(id)?;
+        let laxity = |job: usize| {
+            let j = &ctx.jobs[job];
             let slack = i128::from(j.absolute_critical_time)
                 - i128::from(ctx.now)
                 - i128::from(j.remaining);
-            Some((slack, id))
+            (slack, j.id)
         };
-        let mut order: Vec<JobId> = ctx.jobs.iter().map(|j| j.id).collect();
-        order.sort_by(|&a, &b| {
+        self.order.clear();
+        self.order.extend(0..ctx.jobs.len());
+        self.order.sort_by(|&a, &b| {
             ops.tick();
             laxity(a).cmp(&laxity(b))
         });
         Decision {
-            order,
+            order: self.order.iter().map(|&job| ctx.jobs[job].id).collect(),
             ops: ops.total(),
             aborts: Vec::new(),
         }
@@ -64,7 +66,7 @@ impl UaScheduler for Llf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfrt_sim::{JobView, TaskId};
+    use lfrt_sim::{JobId, JobView, TaskId};
     use lfrt_tuf::Tuf;
 
     #[test]

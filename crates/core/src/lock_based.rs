@@ -1,10 +1,9 @@
 use lfrt_sim::{Decision, JobId, SchedulerContext, UaScheduler};
 
-use crate::construct::{build_schedule, sort_by_pud, RankedChain};
+use crate::construct::Construction;
 use crate::deadlock::select_victim;
-use crate::dependency::{dependency_chain, Chain};
+use crate::dependency::{Chain, Dependencies};
 use crate::ops::OpsCounter;
-use crate::pud::chain_pud;
 
 /// Lock-based RUA: the full Resource-constrained Utility Accrual scheduler
 /// with dependency chains (§3 of the paper).
@@ -38,7 +37,10 @@ use crate::pud::chain_pud;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RuaLockBased {
-    _private: (),
+    dependencies: Dependencies,
+    construction: Construction,
+    /// Per context position: chosen as a deadlock victim this invocation.
+    excluded: Vec<bool>,
 }
 
 impl RuaLockBased {
@@ -55,41 +57,42 @@ impl UaScheduler for RuaLockBased {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
+        let Self {
+            dependencies,
+            construction,
+            excluded,
+        } = self;
         // Steps 1–3: chains, deadlock handling, PUDs.
-        let mut excluded: Vec<JobId> = Vec::new();
-        let mut chains: Vec<RankedChain> = Vec::with_capacity(ctx.jobs.len());
-        for view in &ctx.jobs {
-            let chain = dependency_chain(ctx, view.id, &mut ops);
-            if chain.is_cycle() {
-                if let Some(victim) = select_victim(ctx, &chain, &mut ops) {
-                    if !excluded.contains(&victim) {
-                        excluded.push(victim);
+        dependencies.resolve(ctx);
+        construction.clear();
+        excluded.clear();
+        excluded.resize(ctx.jobs.len(), false);
+        let mut aborts: Vec<JobId> = Vec::new();
+        for job in 0..ctx.jobs.len() {
+            let start = construction.members.len();
+            match dependencies.chain(job, &mut construction.members, &mut ops) {
+                Chain::Acyclic => construction.rank(ctx, start, &mut ops),
+                Chain::Cycle => {
+                    let cycle = &construction.members[start..];
+                    if let Some(victim) = select_victim(ctx, cycle, &mut ops) {
+                        if !std::mem::replace(&mut excluded[victim], true) {
+                            aborts.push(ctx.jobs[victim].id);
+                        }
                     }
+                    construction.members.truncate(start);
                 }
-                continue;
             }
-            let Chain::Acyclic(members) = chain else {
-                unreachable!()
-            };
-            let pud = chain_pud(ctx, &members, &mut ops);
-            chains.push(RankedChain {
-                job: view.id,
-                chain: members,
-                pud,
-            });
         }
-        if !excluded.is_empty() {
-            chains.retain(|c| {
-                !excluded.contains(&c.job) && !c.chain.iter().any(|j| excluded.contains(j))
-            });
+        if !aborts.is_empty() {
+            construction.drop_chains_through(excluded);
         }
         // Step 4: sort by PUD.
-        sort_by_pud(&mut chains, &mut ops);
+        construction.sort_by_pud(&mut ops);
         // Step 5: construct the feasible ECF schedule.
-        let schedule = build_schedule(ctx, &chains, &mut ops);
+        let order = construction.build_schedule(ctx, &mut ops);
         // Deadlock victims are handed to the engine for immediate abortion
         // (the abort-exception model of §3.5 resolves the deadlock).
-        for victim in &excluded {
+        for victim in &aborts {
             lfrt_trace::emit(
                 lfrt_trace::EventKind::SchedAbort,
                 lfrt_trace::Site::Sched,
@@ -97,9 +100,9 @@ impl UaScheduler for RuaLockBased {
             );
         }
         Decision {
-            order: schedule.jobs(),
+            order,
             ops: ops.total(),
-            aborts: excluded,
+            aborts,
         }
     }
 }

@@ -1,8 +1,7 @@
 use lfrt_sim::{Decision, SchedulerContext, UaScheduler};
 
-use crate::construct::{build_schedule, sort_by_pud, RankedChain};
+use crate::construct::Construction;
 use crate::ops::OpsCounter;
-use crate::pud::chain_pud;
 
 /// Lock-free RUA: the paper's primary contribution (§5).
 ///
@@ -29,7 +28,7 @@ use crate::pud::chain_pud;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct RuaLockFree {
-    _private: (),
+    construction: Construction,
 }
 
 impl RuaLockFree {
@@ -47,23 +46,11 @@ impl UaScheduler for RuaLockFree {
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
         // Every chain is the job alone: dependencies cannot arise.
-        let mut chains: Vec<RankedChain> = ctx
-            .jobs
-            .iter()
-            .map(|view| {
-                let chain = vec![view.id];
-                let pud = chain_pud(ctx, &chain, &mut ops);
-                RankedChain {
-                    job: view.id,
-                    chain,
-                    pud,
-                }
-            })
-            .collect();
-        sort_by_pud(&mut chains, &mut ops);
-        let schedule = build_schedule(ctx, &chains, &mut ops);
+        self.construction.rank_singletons(ctx, &mut ops);
+        self.construction.sort_by_pud(&mut ops);
+        let order = self.construction.build_schedule(ctx, &mut ops);
         Decision {
-            order: schedule.jobs(),
+            order,
             ops: ops.total(),
             aborts: Vec::new(),
         }

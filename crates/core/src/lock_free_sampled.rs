@@ -1,11 +1,10 @@
-use lfrt_sim::{Decision, SchedulerContext, UaScheduler};
+use lfrt_sim::{Decision, SchedulerContext, SimTime, UaScheduler};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::construct::{sort_by_pud, RankedChain};
+use crate::construct::Construction;
 use crate::ops::OpsCounter;
-use crate::pud::chain_pud;
-use crate::schedule::TentativeSchedule;
+use crate::schedule::Entry;
 
 /// Lock-free RUA with *randomized feasibility testing* — the speed/accuracy
 /// tradeoff the paper's §3.6 points at ("the step of testing for schedule
@@ -20,9 +19,10 @@ use crate::schedule::TentativeSchedule;
 /// `O(log n)` from a positional tree augmented with remaining-time subtree
 /// sums, so the charged per-insertion cost drops to `O((k+1)·log n)` and
 /// the whole invocation to `O(n·k·log n)` — asymptotically below exact RUA
-/// for constant `k`. (This reference implementation computes the sums with
-/// a plain prefix walk and charges the abstract tree cost, the same
-/// convention the other schedulers use for ordered-structure operations.)
+/// for constant `k`. (This reference implementation keeps every entry's
+/// completion time in a flat array it shifts on each kept insertion, and
+/// charges the abstract tree cost, the same convention the other schedulers
+/// use for ordered-structure operations.)
 ///
 /// The tradeoff: an unsampled entry may silently become infeasible, so a
 /// job that exact RUA would reject can be kept and later aborted at its
@@ -42,8 +42,18 @@ use crate::schedule::TentativeSchedule;
 /// ```
 #[derive(Debug)]
 pub struct RuaLockFreeSampled {
-    samples: usize,
+    sampler: Sampler,
+    construction: Construction,
+}
+
+/// The randomized feasibility test and its scratch.
+#[derive(Debug)]
+struct Sampler {
     rng: StdRng,
+    /// The positions sampled for one insertion, one slot per sample.
+    picks: Vec<usize>,
+    /// Per schedule entry: when it completes if the schedule runs from `now`.
+    completions: Vec<SimTime>,
 }
 
 impl RuaLockFreeSampled {
@@ -51,8 +61,12 @@ impl RuaLockFreeSampled {
     /// insertion (plus the inserted entry itself).
     pub fn new(samples: usize, seed: u64) -> Self {
         Self {
-            samples,
-            rng: StdRng::seed_from_u64(seed),
+            sampler: Sampler {
+                rng: StdRng::seed_from_u64(seed),
+                picks: vec![0; samples],
+                completions: Vec::new(),
+            },
+            construction: Construction::default(),
         }
     }
 }
@@ -64,31 +78,35 @@ impl UaScheduler for RuaLockFreeSampled {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
-        let mut chains: Vec<RankedChain> = ctx
-            .jobs
-            .iter()
-            .map(|view| {
-                let chain = vec![view.id];
-                let pud = chain_pud(ctx, &chain, &mut ops);
-                RankedChain {
-                    job: view.id,
-                    chain,
-                    pud,
-                }
-            })
-            .collect();
-        sort_by_pud(&mut chains, &mut ops);
+        self.construction.rank_singletons(ctx, &mut ops);
+        self.construction.sort_by_pud(&mut ops);
 
-        let mut schedule = TentativeSchedule::new();
-        for ranked in &chains {
-            let Some(view) = ctx.job(ranked.job) else {
-                continue;
+        let Construction {
+            chains,
+            members,
+            schedule,
+            ..
+        } = &mut self.construction;
+        schedule.clear();
+        self.sampler.completions.clear();
+        for ranked in chains.iter() {
+            let view = &ctx.jobs[members[ranked.members.start]];
+            let entry = Entry {
+                job: view.id,
+                effective_critical_time: view.absolute_critical_time,
+                remaining: view.remaining,
             };
-            let mut tentative = schedule.clone();
-            let pos =
-                tentative.insert_before(ranked.job, view.absolute_critical_time, None, &mut ops);
-            if self.sampled_feasible(ctx, &tentative, pos, &mut ops) {
-                schedule = tentative;
+            // Tried where it would go, not on a copy: without dependents an
+            // insertion moves nothing but the entries behind it.
+            let pos = schedule.ecf_position(entry.effective_critical_time);
+            if self
+                .sampler
+                .admits(ctx.now, schedule.entries(), pos, &entry, &mut ops)
+            {
+                schedule.insert_before(entry, None, &mut ops);
+            } else {
+                // A rejected insertion was made, and is paid for, all the same.
+                ops.charge_log(schedule.len());
             }
         }
         Decision {
@@ -99,47 +117,69 @@ impl UaScheduler for RuaLockFreeSampled {
     }
 }
 
-impl RuaLockFreeSampled {
-    /// Verifies the inserted entry at `pos`, then `samples` random entries
-    /// after it (the only entries the insertion delays). Each verification
-    /// is charged at the `O(log n)` cost of a completion-time query on a
-    /// sum-augmented positional tree; the prefix walks below are this
-    /// reference implementation's stand-in for those queries.
-    fn sampled_feasible(
+impl Sampler {
+    /// Whether `entry`, inserted at `pos` of `entries`, passes the sampled
+    /// test — the entry itself is verified, then one random entry behind it
+    /// per sample (the only entries the insertion delays) — and if it does,
+    /// records the insertion in `completions`. Each verification is charged
+    /// at the `O(log n)` cost of a completion-time query on a sum-augmented
+    /// positional tree; `completions` is this reference implementation's
+    /// stand-in for that tree.
+    fn admits(
         &mut self,
-        ctx: &SchedulerContext<'_>,
-        tentative: &TentativeSchedule,
+        now: SimTime,
+        entries: &[Entry],
         pos: usize,
+        entry: &Entry,
         ops: &mut OpsCounter,
     ) -> bool {
-        let entries = tentative.entries();
-        let completion_through = |end: usize| -> u64 {
-            entries
-                .iter()
-                .take(end + 1)
-                .filter_map(|e| ctx.job(e.job))
-                .map(|v| v.remaining)
-                .sum()
-        };
+        let len = entries.len() + 1;
         // Verify the inserted entry (one tree query).
-        ops.charge_log(entries.len());
-        if ctx.now + completion_through(pos) > entries[pos].effective_critical_time {
+        ops.charge_log(len);
+        let ahead = pos
+            .checked_sub(1)
+            .map_or(now, |last| self.completions[last]);
+        let completion = ahead + entry.remaining;
+        if completion > entry.effective_critical_time {
             return false;
         }
-        let after = entries.len().saturating_sub(pos + 1);
-        if after == 0 || self.samples == 0 {
-            return true;
-        }
-        let mut picks: Vec<usize> = (0..self.samples)
-            .map(|_| pos + 1 + self.rng.random_range(0..after))
-            .collect();
-        picks.sort_unstable();
-        picks.dedup();
-        for pick in picks {
-            ops.charge_log(entries.len());
-            if ctx.now + completion_through(pick) > entries[pick].effective_critical_time {
+        let behind = entries.len() - pos;
+        if behind > 0 && !self.picks.is_empty() {
+            // All the draws first, then all the lookups: neither loop waits
+            // for the other.
+            for pick in &mut self.picks {
+                *pick = pos + self.rng.random_range(0..behind);
+            }
+            // The distinct samples are queried front to back until one
+            // misses.
+            let mut first_miss = usize::MAX;
+            for &pick in &self.picks {
+                let completion = self.completions[pick] + entry.remaining;
+                if completion > entries[pick].effective_critical_time {
+                    first_miss = first_miss.min(pick);
+                }
+            }
+            // Not `contains`: on slices this short its early-exit search costs
+            // more than the rest of the test.
+            let repeats = |drawn: usize| {
+                let earlier = &self.picks[..drawn];
+                earlier
+                    .iter()
+                    .fold(false, |seen, &pick| seen | (pick == self.picks[drawn]))
+            };
+            let queried = (0..self.picks.len())
+                .filter(|&drawn| self.picks[drawn] <= first_miss && !repeats(drawn))
+                .count();
+            for _ in 0..queried {
+                ops.charge_log(len);
+            }
+            if first_miss != usize::MAX {
                 return false;
             }
+        }
+        self.completions.insert(pos, completion);
+        for later in &mut self.completions[pos + 1..] {
+            *later += entry.remaining;
         }
         true
     }

@@ -11,26 +11,29 @@
 //! assumption that the chain executes immediately and back-to-back, and
 //! `t_f` is `J`'s own estimated completion time.
 
-use lfrt_sim::{JobId, SchedulerContext};
+use lfrt_sim::SchedulerContext;
 
 use crate::ops::OpsCounter;
 
 /// Computes the PUD of a chain `⟨head, …, job⟩` at `ctx.now`, charging one
-/// operation per chain member.
+/// operation per chain member. Members are positions in `ctx.jobs`, as
+/// [`Dependencies::chain`](crate::dependency::Dependencies::chain) produces
+/// them.
 ///
 /// Members are assumed to execute back-to-back starting now; each member's
-/// utility is evaluated at its estimated completion time. Jobs missing from
-/// the context (resolved in the meantime) contribute nothing.
+/// utility is evaluated at its estimated completion time.
 ///
 /// Returns 0.0 for an empty chain.
-pub fn chain_pud(ctx: &SchedulerContext<'_>, chain: &[JobId], ops: &mut OpsCounter) -> f64 {
+///
+/// # Panics
+///
+/// Panics if a member is not a position in `ctx.jobs`.
+pub fn chain_pud(ctx: &SchedulerContext<'_>, chain: &[usize], ops: &mut OpsCounter) -> f64 {
     let mut elapsed: u64 = 0;
     let mut total_utility = 0.0;
     for &member in chain {
         ops.tick();
-        let Some(view) = ctx.job(member) else {
-            continue;
-        };
+        let view = &ctx.jobs[member];
         elapsed += view.remaining;
         let completion = ctx.now + elapsed;
         let sojourn = completion.saturating_sub(view.arrival);
@@ -52,7 +55,7 @@ pub fn chain_pud(ctx: &SchedulerContext<'_>, chain: &[JobId], ops: &mut OpsCount
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfrt_sim::{JobView, TaskId};
+    use lfrt_sim::{JobId, JobView, TaskId};
     use lfrt_tuf::Tuf;
 
     fn view<'a>(id: usize, tuf: &'a Tuf, arrival: u64, remaining: u64) -> JobView<'a> {
@@ -77,7 +80,7 @@ mod tests {
             jobs: vec![view(0, &tuf, 0, 50)],
         };
         let mut ops = OpsCounter::new();
-        let pud = chain_pud(&ctx, &[JobId::new(0)], &mut ops);
+        let pud = chain_pud(&ctx, &[0], &mut ops);
         assert!((pud - 10.0 / 50.0).abs() < 1e-12);
         assert_eq!(ops.total(), 1);
     }
@@ -90,13 +93,11 @@ mod tests {
             now: 0,
             jobs: vec![view(0, &tuf_a, 0, 100), view(1, &tuf_b, 0, 100)],
         };
-        let pud = chain_pud(
-            &ctx,
-            &[JobId::new(0), JobId::new(1)],
-            &mut OpsCounter::new(),
-        );
+        let mut ops = OpsCounter::new();
+        let pud = chain_pud(&ctx, &[0, 1], &mut ops);
         // (6 + 4) / 200.
         assert!((pud - 0.05).abs() < 1e-12);
+        assert_eq!(ops.total(), 2);
     }
 
     #[test]
@@ -107,7 +108,7 @@ mod tests {
             now: 100,
             jobs: vec![view(0, &tuf, 50, 100)],
         };
-        let pud = chain_pud(&ctx, &[JobId::new(0)], &mut OpsCounter::new());
+        let pud = chain_pud(&ctx, &[0], &mut OpsCounter::new());
         assert_eq!(pud, 0.0);
     }
 
@@ -119,21 +120,34 @@ mod tests {
             now: 0,
             jobs: vec![view(0, &tuf, 0, 50)],
         };
-        let pud = chain_pud(&ctx, &[JobId::new(0)], &mut OpsCounter::new());
+        let pud = chain_pud(&ctx, &[0], &mut OpsCounter::new());
         assert!((pud - 0.1).abs() < 1e-12);
     }
 
     #[test]
-    fn empty_and_missing_are_zero() {
+    fn members_are_positions_not_ids() {
+        let tuf_a = Tuf::step(6.0, 1_000).expect("valid");
+        let tuf_b = Tuf::step(4.0, 1_000).expect("valid");
+        let ctx = SchedulerContext {
+            now: 0,
+            jobs: vec![view(70, &tuf_a, 0, 100), view(3, &tuf_b, 0, 50)],
+        };
+        let pud = chain_pud(&ctx, &[1], &mut OpsCounter::new());
+        assert!((pud - 4.0 / 50.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_chain_and_finished_work_are_special() {
         let tuf = Tuf::step(10.0, 100).expect("valid");
         let ctx = SchedulerContext {
             now: 0,
-            jobs: vec![view(0, &tuf, 0, 10)],
+            jobs: vec![view(0, &tuf, 0, 0)],
         };
         assert_eq!(chain_pud(&ctx, &[], &mut OpsCounter::new()), 0.0);
+        // Utility for no further work: the densest chain there can be.
         assert_eq!(
-            chain_pud(&ctx, &[JobId::new(9)], &mut OpsCounter::new()),
-            0.0
+            chain_pud(&ctx, &[0], &mut OpsCounter::new()),
+            f64::MAX / 2.0
         );
     }
 }

@@ -1,4 +1,4 @@
-use lfrt_sim::{Decision, JobId, SchedulerContext, UaScheduler};
+use lfrt_sim::{Decision, SchedulerContext, UaScheduler};
 
 use crate::ops::OpsCounter;
 
@@ -22,7 +22,8 @@ use crate::ops::OpsCounter;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Rm {
-    _private: (),
+    /// The order being sorted, as positions in the context's `jobs`.
+    order: Vec<usize>,
 }
 
 impl Rm {
@@ -39,15 +40,18 @@ impl UaScheduler for Rm {
 
     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
         let mut ops = OpsCounter::new();
-        let mut order: Vec<JobId> = ctx.jobs.iter().map(|j| j.id).collect();
-        order.sort_by(|&a, &b| {
+        let key = |job: usize| {
+            let j = &ctx.jobs[job];
+            (j.window, j.task, j.id)
+        };
+        self.order.clear();
+        self.order.extend(0..ctx.jobs.len());
+        self.order.sort_by(|&a, &b| {
             ops.tick();
-            let ka = ctx.job(a).map(|j| (j.window, j.task, j.id));
-            let kb = ctx.job(b).map(|j| (j.window, j.task, j.id));
-            ka.cmp(&kb)
+            key(a).cmp(&key(b))
         });
         Decision {
-            order,
+            order: self.order.iter().map(|&job| ctx.jobs[job].id).collect(),
             ops: ops.total(),
             aborts: Vec::new(),
         }
@@ -57,7 +61,7 @@ impl UaScheduler for Rm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfrt_sim::{JobView, TaskId};
+    use lfrt_sim::{JobId, JobView, TaskId};
     use lfrt_tuf::Tuf;
 
     #[test]

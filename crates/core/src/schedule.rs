@@ -7,7 +7,7 @@
 //! insertion only if every entry can still finish by its effective critical
 //! time.
 
-use lfrt_sim::{JobId, SchedulerContext, SimTime};
+use lfrt_sim::{JobId, SimTime, Ticks};
 
 use crate::ops::OpsCounter;
 
@@ -21,6 +21,9 @@ pub struct Entry {
     /// the job's own critical time when a dependent must precede a
     /// shorter-deadline successor.
     pub effective_critical_time: SimTime,
+    /// The job's remaining execution time, copied from its view when it is
+    /// inserted, so that the feasibility walk reads nothing but the entries.
+    pub remaining: Ticks,
 }
 
 /// An ECF-ordered tentative schedule.
@@ -28,9 +31,23 @@ pub struct Entry {
 /// Lookup, insert, and remove are charged at their `O(log n)` textbook cost
 /// through the caller's [`OpsCounter`], matching the paper's §3.6 cost
 /// accounting.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct TentativeSchedule {
     entries: Vec<Entry>,
+}
+
+impl Clone for TentativeSchedule {
+    fn clone(&self) -> Self {
+        Self {
+            entries: self.entries.clone(),
+        }
+    }
+
+    /// Copies `source` into this schedule's own buffer: schedule construction
+    /// takes its tentative copy once per examined job.
+    fn clone_from(&mut self, source: &Self) {
+        self.entries.clone_from(&source.entries);
+    }
 }
 
 impl TentativeSchedule {
@@ -59,47 +76,50 @@ impl TentativeSchedule {
         self.entries.is_empty()
     }
 
+    /// Empties the schedule, keeping its buffer.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Position of `job`, if scheduled.
     pub fn position(&self, job: JobId, ops: &mut OpsCounter) -> Option<usize> {
         ops.charge_log(self.entries.len());
         self.entries.iter().position(|e| e.job == job)
     }
 
-    /// Inserts `job` with critical time `critical`, at its ECF position but
-    /// never at or after `limit` (the position of the already-inserted
-    /// successor that depends on it). When the ECF position would violate
-    /// the limit, the job is placed immediately before the successor with
-    /// its effective critical time advanced to the successor's (the paper's
-    /// Figure 4 "Case 2"). Returns the insertion position.
+    /// Where an entry with critical time `critical` goes in ECF order: the
+    /// first index whose effective critical time is not earlier, so that it
+    /// lands before equal-critical entries.
+    pub fn ecf_position(&self, critical: SimTime) -> usize {
+        self.entries
+            .partition_point(|e| e.effective_critical_time < critical)
+    }
+
+    /// Inserts `entry` at the ECF position of its critical time but never at
+    /// or after `limit` (the position of the already-inserted successor that
+    /// depends on it). When the ECF position would violate the limit, the
+    /// job is placed immediately before the successor with its effective
+    /// critical time advanced to the successor's (the paper's Figure 4
+    /// "Case 2"). Returns the insertion position.
     pub fn insert_before(
         &mut self,
-        job: JobId,
-        critical: SimTime,
+        mut entry: Entry,
         limit: Option<usize>,
         ops: &mut OpsCounter,
     ) -> usize {
         ops.charge_log(self.entries.len());
-        let mut effective = critical;
-        // First index whose effective critical time is >= ours: inserting
-        // there keeps ECF order and puts us before equal-critical entries.
-        let ecf_pos = self
-            .entries
-            .partition_point(|e| e.effective_critical_time < critical);
+        let critical = entry.effective_critical_time;
+        let ecf_pos = self.ecf_position(critical);
         let pos = match limit {
             Some(lim) if ecf_pos > lim => {
                 // Dependency order wins: advance the critical time.
-                effective = effective.min(self.entries[lim].effective_critical_time);
+                entry.effective_critical_time =
+                    critical.min(self.entries[lim].effective_critical_time);
                 lim
             }
             _ => ecf_pos,
         };
-        self.entries.insert(
-            pos,
-            Entry {
-                job,
-                effective_critical_time: effective,
-            },
-        );
+        self.entries.insert(pos, entry);
         pos
     }
 
@@ -114,21 +134,15 @@ impl TentativeSchedule {
     }
 
     /// Tests feasibility: walking the schedule head-to-tail and accumulating
-    /// each job's remaining execution time from `ctx.now`, every entry must
+    /// each entry's remaining execution time from `now`, every entry must
     /// finish at or before its effective critical time. Charges one
-    /// operation per entry.
-    ///
-    /// Jobs missing from the context are skipped (they resolved since the
-    /// schedule was copied).
-    pub fn is_feasible(&self, ctx: &SchedulerContext<'_>, ops: &mut OpsCounter) -> bool {
-        let mut elapsed: u64 = 0;
+    /// operation per entry walked.
+    pub fn is_feasible(&self, now: SimTime, ops: &mut OpsCounter) -> bool {
+        let mut finish = now;
         for entry in &self.entries {
             ops.tick();
-            let Some(view) = ctx.job(entry.job) else {
-                continue;
-            };
-            elapsed += view.remaining;
-            if ctx.now + elapsed > entry.effective_critical_time {
+            finish += entry.remaining;
+            if finish > entry.effective_critical_time {
                 return false;
             }
         }
@@ -139,20 +153,27 @@ impl TentativeSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lfrt_sim::{JobView, TaskId};
-    use lfrt_tuf::Tuf;
 
     fn j(i: usize) -> JobId {
         JobId::new(i)
+    }
+
+    /// Job `i`, critical at `critical`, with `remaining` work left.
+    fn entry(i: usize, critical: SimTime, remaining: Ticks) -> Entry {
+        Entry {
+            job: j(i),
+            effective_critical_time: critical,
+            remaining,
+        }
     }
 
     #[test]
     fn ecf_order_maintained() {
         let mut s = TentativeSchedule::new();
         let mut ops = OpsCounter::new();
-        s.insert_before(j(1), 300, None, &mut ops);
-        s.insert_before(j(2), 100, None, &mut ops);
-        s.insert_before(j(3), 200, None, &mut ops);
+        s.insert_before(entry(1, 300, 10), None, &mut ops);
+        s.insert_before(entry(2, 100, 10), None, &mut ops);
+        s.insert_before(entry(3, 200, 10), None, &mut ops);
         assert_eq!(s.jobs(), vec![j(2), j(3), j(1)]);
     }
 
@@ -160,8 +181,8 @@ mod tests {
     fn tie_inserts_before_equal_entries() {
         let mut s = TentativeSchedule::new();
         let mut ops = OpsCounter::new();
-        s.insert_before(j(1), 100, None, &mut ops);
-        s.insert_before(j(2), 100, None, &mut ops);
+        s.insert_before(entry(1, 100, 10), None, &mut ops);
+        s.insert_before(entry(2, 100, 10), None, &mut ops);
         assert_eq!(s.jobs(), vec![j(2), j(1)]);
     }
 
@@ -171,11 +192,12 @@ mod tests {
         // (C=200); T2 is inserted before T1 with C2 := C1 = 200.
         let mut s = TentativeSchedule::new();
         let mut ops = OpsCounter::new();
-        let p1 = s.insert_before(j(1), 200, None, &mut ops);
-        let p2 = s.insert_before(j(2), 500, Some(p1), &mut ops);
+        let p1 = s.insert_before(entry(1, 200, 10), None, &mut ops);
+        let p2 = s.insert_before(entry(2, 500, 10), Some(p1), &mut ops);
         assert_eq!(p2, 0);
         assert_eq!(s.jobs(), vec![j(2), j(1)]);
         assert_eq!(s.entries()[0].effective_critical_time, 200);
+        assert_eq!(s.entries()[0].remaining, 10, "only the critical time moves");
     }
 
     #[test]
@@ -183,8 +205,8 @@ mod tests {
         // Case 1: C2 < C1 — ECF order already satisfies the dependency.
         let mut s = TentativeSchedule::new();
         let mut ops = OpsCounter::new();
-        let p1 = s.insert_before(j(1), 500, None, &mut ops);
-        let p2 = s.insert_before(j(2), 200, Some(p1), &mut ops);
+        let p1 = s.insert_before(entry(1, 500, 10), None, &mut ops);
+        let p2 = s.insert_before(entry(2, 200, 10), Some(p1), &mut ops);
         assert_eq!(p2, 0);
         assert_eq!(s.entries()[0].effective_critical_time, 200, "unchanged");
     }
@@ -193,8 +215,8 @@ mod tests {
     fn remove_and_position() {
         let mut s = TentativeSchedule::new();
         let mut ops = OpsCounter::new();
-        s.insert_before(j(1), 100, None, &mut ops);
-        s.insert_before(j(2), 200, None, &mut ops);
+        s.insert_before(entry(1, 100, 10), None, &mut ops);
+        s.insert_before(entry(2, 200, 10), None, &mut ops);
         assert_eq!(s.position(j(2), &mut ops), Some(1));
         let removed = s.remove(1, &mut ops);
         assert_eq!(removed.job, j(2));
@@ -202,47 +224,53 @@ mod tests {
         assert_eq!(s.len(), 1);
     }
 
-    fn feasibility_ctx<'a>(tuf: &'a Tuf, remainings: &[(usize, u64)]) -> SchedulerContext<'a> {
-        SchedulerContext {
-            now: 0,
-            jobs: remainings
-                .iter()
-                .map(|&(id, remaining)| JobView {
-                    id: JobId::new(id),
-                    task: TaskId::new(0),
-                    arrival: 0,
-                    absolute_critical_time: 1_000,
-                    window: 1_000,
-                    tuf,
-                    remaining,
-                    blocked_on: None,
-                    holds: Vec::new(),
-                })
-                .collect(),
-        }
-    }
-
     #[test]
     fn feasibility_accumulates_remaining() {
-        let tuf = Tuf::step(1.0, 1_000).expect("valid");
-        let ctx = feasibility_ctx(&tuf, &[(1, 100), (2, 100)]);
         let mut s = TentativeSchedule::new();
         let mut ops = OpsCounter::new();
-        s.insert_before(j(1), 100, None, &mut ops);
-        s.insert_before(j(2), 200, None, &mut ops);
-        assert!(s.is_feasible(&ctx, &mut ops));
+        s.insert_before(entry(1, 100, 100), None, &mut ops);
+        s.insert_before(entry(2, 200, 100), None, &mut ops);
+        assert!(s.is_feasible(0, &mut ops));
+        assert!(!s.is_feasible(1, &mut ops), "the walk starts at `now`");
         // Tighten: second job's critical time now too early (cumulative
         // 200 > 150).
         let mut s2 = TentativeSchedule::new();
-        s2.insert_before(j(1), 100, None, &mut ops);
-        s2.insert_before(j(2), 150, None, &mut ops);
-        assert!(!s2.is_feasible(&ctx, &mut ops));
+        s2.insert_before(entry(1, 100, 100), None, &mut ops);
+        s2.insert_before(entry(2, 150, 100), None, &mut ops);
+        assert!(!s2.is_feasible(0, &mut ops));
+    }
+
+    #[test]
+    fn feasibility_charges_one_operation_per_entry_walked() {
+        let mut s = TentativeSchedule::new();
+        let mut ops = OpsCounter::new();
+        s.insert_before(entry(1, 100, 10), None, &mut ops);
+        s.insert_before(entry(2, 105, 10), None, &mut ops);
+        s.insert_before(entry(3, 300, 10), None, &mut ops);
+        let before = ops.total();
+        assert!(!s.is_feasible(90, &mut ops));
+        assert_eq!(ops.total() - before, 2, "the walk stops at the first miss");
     }
 
     #[test]
     fn empty_schedule_is_feasible() {
-        let tuf = Tuf::step(1.0, 1_000).expect("valid");
-        let ctx = feasibility_ctx(&tuf, &[]);
-        assert!(TentativeSchedule::new().is_feasible(&ctx, &mut OpsCounter::new()));
+        assert!(TentativeSchedule::new().is_feasible(0, &mut OpsCounter::new()));
+    }
+
+    #[test]
+    fn clone_from_copies_into_the_existing_buffer() {
+        let mut ops = OpsCounter::new();
+        let mut source = TentativeSchedule::new();
+        source.insert_before(entry(1, 100, 10), None, &mut ops);
+        let mut copy = TentativeSchedule::new();
+        for i in 0..8 {
+            copy.insert_before(entry(i, 100, 10), None, &mut ops);
+        }
+        let buffer = copy.entries().as_ptr();
+        copy.clone_from(&source);
+        assert_eq!(copy, source);
+        assert_eq!(copy.entries().as_ptr(), buffer);
+        copy.clear();
+        assert!(copy.is_empty());
     }
 }

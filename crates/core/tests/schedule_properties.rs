@@ -1,7 +1,7 @@
 //! Property-based tests for the ECF tentative schedule (§3.4): ordering and
 //! dependency invariants hold under arbitrary insertion sequences.
 
-use lfrt_core::schedule::TentativeSchedule;
+use lfrt_core::schedule::{Entry, TentativeSchedule};
 use lfrt_core::OpsCounter;
 use lfrt_sim::JobId;
 use proptest::prelude::*;
@@ -15,6 +15,14 @@ enum Op {
     InsertBefore(u64, usize),
     /// Remove the entry at (index modulo current length).
     Remove(usize),
+}
+
+fn entry(job: JobId, critical: u64) -> Entry {
+    Entry {
+        job,
+        effective_critical_time: critical,
+        remaining: 1 + critical % 7,
+    }
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -42,10 +50,11 @@ proptest! {
                 Op::Insert(critical) => {
                     let job = JobId::new(next_id);
                     next_id += 1;
-                    let pos = schedule.insert_before(job, critical, None, &mut counter);
-                    let entry = schedule.entries()[pos];
-                    prop_assert_eq!(entry.job, job);
-                    prop_assert!(entry.effective_critical_time <= critical);
+                    let pos = schedule.insert_before(entry(job, critical), None, &mut counter);
+                    let inserted = schedule.entries()[pos];
+                    prop_assert_eq!(inserted.job, job);
+                    prop_assert!(inserted.effective_critical_time <= critical);
+                    prop_assert_eq!(inserted.remaining, entry(job, critical).remaining);
                 }
                 Op::InsertBefore(critical, raw) => {
                     if schedule.is_empty() {
@@ -55,7 +64,7 @@ proptest! {
                     let successor = schedule.entries()[limit];
                     let job = JobId::new(next_id);
                     next_id += 1;
-                    let pos = schedule.insert_before(job, critical, Some(limit), &mut counter);
+                    let pos = schedule.insert_before(entry(job, critical), Some(limit), &mut counter);
                     // Dependency respected: inserted at or before the
                     // successor's (shifted) position.
                     let successor_pos = schedule
@@ -63,10 +72,10 @@ proptest! {
                         .expect("successor still present");
                     prop_assert!(pos < successor_pos + 1);
                     prop_assert!(pos <= limit);
-                    let entry = schedule.entries()[pos];
-                    prop_assert!(entry.effective_critical_time <= critical);
+                    let inserted = schedule.entries()[pos];
+                    prop_assert!(inserted.effective_critical_time <= critical);
                     prop_assert!(
-                        entry.effective_critical_time
+                        inserted.effective_critical_time
                             <= successor.effective_critical_time.max(critical)
                     );
                 }

@@ -40,8 +40,11 @@
 //! impl UaScheduler for Fifo {
 //!     fn name(&self) -> &str { "fifo" }
 //!     fn schedule(&mut self, ctx: &SchedulerContext<'_>) -> Decision {
-//!         let mut order: Vec<_> = ctx.jobs.iter().map(|j| j.id).collect();
-//!         order.sort_by_key(|&id| ctx.job(id).expect("listed job").arrival);
+//!         // Sort the views themselves: every key is read from the view in
+//!         // hand, never looked up by id (`ctx.job` is a linear scan).
+//!         let mut jobs: Vec<_> = ctx.jobs.iter().collect();
+//!         jobs.sort_by_key(|j| j.arrival);
+//!         let order = jobs.iter().map(|j| j.id).collect();
 //!         Decision { order, ops: ctx.jobs.len() as u64, ..Decision::default() }
 //!     }
 //! }

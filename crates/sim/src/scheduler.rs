@@ -44,12 +44,25 @@ pub struct SchedulerContext<'a> {
 }
 
 impl<'a> SchedulerContext<'a> {
-    /// Looks up a job view by id.
+    /// Looks up a job view by id: the first listed job with that id.
+    ///
+    /// `O(n)` — a scan of [`SchedulerContext::jobs`], meant for one-off
+    /// callers (tests, reports). A scheduler that needs a job inside a loop
+    /// should name jobs by their position in `jobs` instead, resolving ids
+    /// and lock holders once per invocation as `lfrt-core`'s schedulers do;
+    /// a lookup per comparison or per schedule entry turns an `O(n²)`
+    /// algorithm into an `O(n³)` one.
     pub fn job(&self, id: JobId) -> Option<&JobView<'a>> {
         self.jobs.iter().find(|j| j.id == id)
     }
 
-    /// The job currently holding the lock on `object`, if any.
+    /// The job currently holding the lock on `object`, if any: the first
+    /// listed job whose `holds` contains it.
+    ///
+    /// `O(n)` like [`SchedulerContext::job`], and for one-off callers like
+    /// it: following a dependency chain with one call per hop is `O(n)` per
+    /// hop. `lfrt_core::dependency::Dependencies` resolves every holder once
+    /// per invocation.
     pub fn holder_of(&self, object: ObjectId) -> Option<JobId> {
         self.jobs
             .iter()
