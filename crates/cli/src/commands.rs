@@ -6,8 +6,8 @@ use std::io::BufRead;
 
 use lfrt_analysis::admission::{admit as run_admission, AdmissionTask, Discipline};
 use lfrt_analysis::RetryBoundInput;
-use lfrt_bench::Args;
 use lfrt_core::{Edf, EdfPi, Lbesa, Llf, Rm, RuaLockBased, RuaLockFree};
+use lfrt_json::Args;
 use lfrt_sim::mp::MpEngine;
 use lfrt_sim::workload::{ArrivalStyle, TufClass, WorkloadSpec};
 use lfrt_sim::{sojourn_percentiles, SharingMode, SimConfig, SimOutcome, TaskSpec};

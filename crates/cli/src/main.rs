@@ -11,7 +11,7 @@
 use std::io::{self, BufReader, Read};
 use std::process::ExitCode;
 
-use lfrt_bench::Args;
+use lfrt_json::Args;
 
 mod commands;
 

@@ -5,7 +5,7 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use crate::runtime::{step_read, step_write, weak_session, WeakSession, MAX_THREADS};
+use crate::runtime::{step_read, step_write, weak_session, LocCache, WeakSession, MAX_THREADS};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
@@ -30,7 +30,7 @@ struct Inner<T> {
     history: Mutex<Vec<T>>,
     /// `(run id, location id)` assigned by the current store-buffer
     /// execution; the run id guard stops ids leaking across executions.
-    loc: Mutex<Option<(u64, usize)>>,
+    loc: LocCache,
 }
 
 /// A model atomic cell. Each `load`/`store`/`swap`/`compare_exchange`/
@@ -60,7 +60,7 @@ impl<T: Copy> Atomic<T> {
                 main: Mutex::new(value),
                 pending: Mutex::new((0..MAX_THREADS).map(|_| VecDeque::new()).collect()),
                 history: Mutex::new(Vec::new()),
-                loc: Mutex::new(None),
+                loc: LocCache::default(),
             }),
         }
     }
@@ -285,10 +285,9 @@ impl<T: Copy + Send + 'static> Atomic<T> {
                     // own buffered store pending, the load returns it.
                     let forwards = !lock(&self.inner.pending)[s.tid()].is_empty();
                     if !forwards {
-                        let loc = s.loc(&self.inner.loc);
                         // The park itself: the explorer picks fresh (plain
                         // thread id) or one of the readable stale ages.
-                        return match s.relaxed_load(loc) {
+                        return match s.relaxed_load(&self.inner.loc) {
                             Some(age) => {
                                 let history = lock(&self.inner.history);
                                 history[history.len() - age]

@@ -14,7 +14,7 @@
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -186,6 +186,12 @@ pub(crate) fn decision_thread(id: usize) -> Option<usize> {
 /// never reused across runs.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(1);
 
+/// An [`crate::Atomic`]'s cached `(run id, location id)`: the id this
+/// execution numbered the cell with, if it has touched it yet. Shared with
+/// the runtime so a thread parked on a `Relaxed` load can name its cell
+/// before the cell has an id.
+pub(crate) type LocCache = Arc<Mutex<Option<(u64, usize)>>>;
+
 /// One store sitting in a thread's buffer: enough metadata to decide when it
 /// may commit, plus the type-erased commit action (the typed value lives in
 /// the owning `Atomic`'s own pending queue).
@@ -210,9 +216,10 @@ struct WeakState {
     /// observed — the coherence *floor* below which it may not read.
     /// Monotone; raised by fresh reads, own commits, and acquire drains.
     floors: Vec<Vec<u64>>,
-    /// Per thread: the location of a `Relaxed` load the thread is parked
-    /// on, eligible for stale-read (reorder) decisions.
-    pending_load: Vec<Option<usize>>,
+    /// Per thread: the cell of a `Relaxed` load the thread is parked on,
+    /// eligible for stale-read (reorder) decisions once it has a location
+    /// id (an untouched cell has no older version to read).
+    pending_load: Vec<Option<LocCache>>,
 }
 
 /// One execution of a concurrency scenario: the model threads to run and an
@@ -490,7 +497,9 @@ impl Runtime {
         }
         let mut out = Vec::new();
         for (tid, pending) in weak.pending_load.iter().enumerate() {
-            let Some(loc) = *pending else { continue };
+            let Some(loc) = pending.as_ref().and_then(|c| self.cached_loc(c)) else {
+                continue;
+            };
             let latest = weak.latest[loc];
             let oldest = weak.floors[tid][loc].max(latest.saturating_sub(weak.window as u64));
             for age in 1..=(latest - oldest) as usize {
@@ -668,6 +677,14 @@ impl Runtime {
         }
     }
 
+    /// The location id this execution gave the cell behind `cache`, if any.
+    fn cached_loc(&self, cache: &LocCache) -> Option<usize> {
+        match *lock(cache) {
+            Some((run, loc)) if run == self.run_id => Some(loc),
+            _ => None,
+        }
+    }
+
     fn alloc_loc(&self) -> usize {
         let weak = self.weak.as_ref().expect("alloc_loc under SC mode");
         let mut weak = lock(weak);
@@ -833,16 +850,17 @@ impl WeakSession {
     /// Resolves the stable per-execution location id for an atomic cell,
     /// allocating one on first use. The cell-side cache is keyed by run id so
     /// an id from a previous execution is never reused.
-    pub(crate) fn loc(&self, cache: &Mutex<Option<(u64, usize)>>) -> usize {
-        let mut cached = lock(cache);
-        match *cached {
-            Some((run, loc)) if run == self.rt.run_id => loc,
-            _ => {
-                let loc = self.rt.alloc_loc();
-                *cached = Some((self.rt.run_id, loc));
-                loc
-            }
-        }
+    ///
+    /// Must only be called inside a granted step: grants are serialized, so
+    /// first-touch numbering is then a pure function of the schedule. (Ids
+    /// appear in flush decisions; numbering cells while two threads are
+    /// still launching made the enabled sets depend on real-thread timing.)
+    pub(crate) fn loc(&self, cache: &LocCache) -> usize {
+        self.rt.cached_loc(cache).unwrap_or_else(|| {
+            let loc = self.rt.alloc_loc();
+            *lock(cache) = Some((self.rt.run_id, loc));
+            loc
+        })
     }
 
     /// Buffers a store of the calling thread; `release` stores only ever
@@ -867,14 +885,17 @@ impl WeakSession {
         self.rt.weak.as_ref().map_or(0, |w| lock(w).window)
     }
 
-    /// Parks the calling thread on a `Relaxed` load of `loc`, offering the
-    /// explorer stale-read decisions alongside the fresh one. Returns the
-    /// chosen stale age (`None` = fresh), with the thread's coherence floor
-    /// already raised to the version it is about to observe.
-    pub(crate) fn relaxed_load(&self, loc: usize) -> Option<usize> {
+    /// Parks the calling thread on a `Relaxed` load of the cell behind
+    /// `cache`, offering the explorer stale-read decisions alongside the
+    /// fresh one. Returns the chosen stale age (`None` = fresh), with the
+    /// thread's coherence floor already raised to the version it is about
+    /// to observe. The cell's location id is resolved only after the grant
+    /// (see [`WeakSession::loc`]).
+    pub(crate) fn relaxed_load(&self, cache: &LocCache) -> Option<usize> {
         let weak = self.rt.weak.as_ref().expect("relaxed_load under SC mode");
-        lock(weak).pending_load[self.tid] = Some(loc);
+        lock(weak).pending_load[self.tid] = Some(Arc::clone(cache));
         let stale = self.rt.arrive(self.tid, Some(StepKind::Read));
+        let loc = self.loc(cache);
         let mut st = lock(weak);
         st.pending_load[self.tid] = None;
         let observed = st.latest[loc] - stale.unwrap_or(0) as u64;
@@ -942,73 +963,87 @@ pub(crate) fn run_once(
             });
         }
 
-        let mut last: Option<usize> = None;
-        loop {
-            let quiescent = rt.await_quiescent();
-            let (mut enabled, spinning) = quiescent.clone().unwrap_or((Vec::new(), false));
-            if quiescent.is_none() && outcome.is_some() {
-                // Aborted (livelock/prune) and every thread has unwound:
-                // discard whatever is still buffered, nobody observes it.
-                break;
-            }
-            // Pending flushes are decisions too: committing a buffered store
-            // is exactly the visibility choice weak hardware makes for us.
-            // They remain on offer after their thread finishes — and once
-            // *all* threads are done, they are the only decisions left, so
-            // the final commit order is explored rather than assumed.
-            // Stale-read (reorder) decisions follow: a thread parked on a
-            // Relaxed load may be granted an older readable version instead
-            // of the fresh one. Ids are disjoint and each range is sorted,
-            // so the combined enabled set stays sorted and deterministic.
-            enabled.extend(rt.flushable());
-            enabled.extend(rt.reorderable());
-            if enabled.is_empty() {
-                if quiescent.is_none() {
-                    break; // all threads done, all stores committed
-                }
-                // Every unfinished thread is spin-parked, no store is waiting
-                // to commit, and nobody can unblock them: livelock.
-                debug_assert!(spinning);
-                outcome = Some(Outcome::Livelock);
-                rt.abort();
-                continue;
-            }
-            if decisions.len() >= max_steps {
-                if quiescent.is_none() {
-                    // Only flushes remain; committing them cannot spin.
-                    // Flush in program order without recording decisions so
-                    // an execution at its budget still terminates.
-                    rt.drain_all();
+        // A panic in the controller (the explorer's nondeterminism assert
+        // in `choose`, a runtime invariant) must not unwind out of the
+        // scope while model threads are parked in `arrive`: the scope's
+        // implicit join would wait for them forever and the failure would
+        // become a hang. Catch it, abort the execution so every thread
+        // unwinds, join, then resume the panic.
+        let controller = catch_unwind(AssertUnwindSafe(|| {
+            let mut last: Option<usize> = None;
+            loop {
+                let quiescent = rt.await_quiescent();
+                let (mut enabled, spinning) = quiescent.clone().unwrap_or((Vec::new(), false));
+                if quiescent.is_none() && outcome.is_some() {
+                    // Aborted (livelock/prune) and every thread has unwound:
+                    // discard whatever is still buffered, nobody observes it.
                     break;
                 }
-                outcome = Some(Outcome::Pruned);
-                rt.abort();
-                continue;
+                // Pending flushes are decisions too: committing a buffered store
+                // is exactly the visibility choice weak hardware makes for us.
+                // They remain on offer after their thread finishes — and once
+                // *all* threads are done, they are the only decisions left, so
+                // the final commit order is explored rather than assumed.
+                // Stale-read (reorder) decisions follow: a thread parked on a
+                // Relaxed load may be granted an older readable version instead
+                // of the fresh one. Ids are disjoint and each range is sorted,
+                // so the combined enabled set stays sorted and deterministic.
+                enabled.extend(rt.flushable());
+                enabled.extend(rt.reorderable());
+                if enabled.is_empty() {
+                    if quiescent.is_none() {
+                        break; // all threads done, all stores committed
+                    }
+                    // Every unfinished thread is spin-parked, no store is waiting
+                    // to commit, and nobody can unblock them: livelock.
+                    debug_assert!(spinning);
+                    outcome = Some(Outcome::Livelock);
+                    rt.abort();
+                    continue;
+                }
+                if decisions.len() >= max_steps {
+                    if quiescent.is_none() {
+                        // Only flushes remain; committing them cannot spin.
+                        // Flush in program order without recording decisions so
+                        // an execution at its budget still terminates.
+                        rt.drain_all();
+                        break;
+                    }
+                    outcome = Some(Outcome::Pruned);
+                    rt.abort();
+                    continue;
+                }
+                let chosen = choose(&enabled, last);
+                assert!(
+                    enabled.contains(&chosen),
+                    "scheduler chose thread {chosen} outside enabled set {enabled:?}"
+                );
+                decisions.push(Decision { chosen, enabled });
+                if chosen >= REORDER_BASE {
+                    // A stale read: grant the issuing thread its pending Relaxed
+                    // load at the decoded age. It is that thread's step, so the
+                    // default continuation keeps preferring it.
+                    let (tid, age) = decode_reorder(chosen);
+                    last = Some(tid);
+                    rt.grant(tid, Some(age));
+                } else if chosen >= FLUSH_BASE {
+                    // A flush is performed by the controller; `last` keeps
+                    // pointing at the previously running thread so the default
+                    // continuation still prefers it.
+                    rt.perform_flush(chosen);
+                } else {
+                    last = Some(chosen);
+                    rt.grant(chosen, None);
+                }
             }
-            let chosen = choose(&enabled, last);
-            assert!(
-                enabled.contains(&chosen),
-                "scheduler chose thread {chosen} outside enabled set {enabled:?}"
-            );
-            decisions.push(Decision { chosen, enabled });
-            if chosen >= REORDER_BASE {
-                // A stale read: grant the issuing thread its pending Relaxed
-                // load at the decoded age. It is that thread's step, so the
-                // default continuation keeps preferring it.
-                let (tid, age) = decode_reorder(chosen);
-                last = Some(tid);
-                rt.grant(tid, Some(age));
-            } else if chosen >= FLUSH_BASE {
-                // A flush is performed by the controller; `last` keeps
-                // pointing at the previously running thread so the default
-                // continuation still prefers it.
-                rt.perform_flush(chosen);
-            } else {
-                last = Some(chosen);
-                rt.grant(chosen, None);
-            }
+        }));
+        if controller.is_err() {
+            rt.abort();
         }
         rt.await_all_done();
+        if let Err(payload) = controller {
+            resume_unwind(payload);
+        }
     });
 
     let failure = lock(&rt.state).failure.take();

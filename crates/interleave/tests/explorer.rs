@@ -247,3 +247,46 @@ fn failure_artifacts_are_written_when_requested() {
     assert!(body.contains("schedule: "), "{body}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A failure must never become a hang: when the explorer's own
+/// nondeterminism assert fires on the controller while a model thread is
+/// parked at a yield point, the execution is aborted, the threads are
+/// joined, and the panic surfaces with its message — in seconds.
+#[test]
+fn nondeterministic_scenario_fails_loudly_instead_of_hanging() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let explorer = std::thread::spawn(move || {
+        let mut runs = 0usize;
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            explore(&Config::exhaustive("flaky-factory"), || {
+                runs += 1;
+                let shared = Arc::new(lfrt_interleave::Atomic::new(0u64));
+                let (a, b) = (Arc::clone(&shared), Arc::clone(&shared));
+                // The second execution's thread 1 never reaches a yield
+                // point, so decision 0 sees [0] where the first saw [0, 1]
+                // — with thread 0 parked in its store.
+                let skip = runs > 1;
+                Plan::new().thread(move || a.store(1)).thread(move || {
+                    if !skip {
+                        b.store(2);
+                    }
+                })
+            })
+        }));
+        let message = outcome.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default()
+        });
+        let _ = tx.send(message);
+    });
+    let message = rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the exploration hung instead of failing")
+        .expect("a factory that changes between runs must be rejected");
+    explorer
+        .join()
+        .expect("the exploring thread reported and ended");
+    assert!(message.contains("is nondeterministic"), "{message}");
+}

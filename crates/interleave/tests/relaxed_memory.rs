@@ -364,32 +364,56 @@ fn ms_queue_sound_under_relaxed() {
     .assert_ok();
 }
 
+/// One push racing one pop on a 1-slot ring. Both threads *start* with a
+/// `Relaxed` load of a cell nobody has touched yet, which is what made this
+/// scenario's location numbering depend on real-thread timing.
+fn spsc_ring_scenario() -> Plan {
+    let ring = Arc::new(ModelSpscRing::new(1));
+    let producer = Arc::clone(&ring);
+    let consumer = Arc::clone(&ring);
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let result = Arc::clone(&got);
+    let check_ring = Arc::clone(&ring);
+    let check_got = Arc::clone(&got);
+    Plan::new()
+        .thread(move || {
+            producer.push(7).expect("empty ring cannot be full");
+        })
+        .thread(move || {
+            if let Some(v) = consumer.pop() {
+                result.lock().unwrap().push(v);
+            }
+        })
+        .check(move || {
+            let mut seen = check_got.lock().unwrap().clone();
+            seen.extend(check_ring.drain_plain());
+            assert_eq!(seen, vec![7], "ring lost or tore the element");
+        })
+}
+
 #[test]
 fn spsc_ring_sound_under_relaxed() {
-    explore(&mirror_relaxed("spsc-ring-relaxed"), || {
-        let ring = Arc::new(ModelSpscRing::new(1));
-        let producer = Arc::clone(&ring);
-        let consumer = Arc::clone(&ring);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let result = Arc::clone(&got);
-        let check_ring = Arc::clone(&ring);
-        let check_got = Arc::clone(&got);
-        Plan::new()
-            .thread(move || {
-                producer.push(7).expect("empty ring cannot be full");
-            })
-            .thread(move || {
-                if let Some(v) = consumer.pop() {
-                    result.lock().unwrap().push(v);
-                }
-            })
-            .check(move || {
-                let mut seen = check_got.lock().unwrap().clone();
-                seen.extend(check_ring.drain_plain());
-                assert_eq!(seen, vec![7], "ring lost or tore the element");
-            })
-    })
-    .assert_ok();
+    explore(&mirror_relaxed("spsc-ring-relaxed"), spsc_ring_scenario).assert_ok();
+}
+
+/// Location ids are handed out inside granted steps only, so the schedule
+/// tree is a pure function of the decisions: repeated explorations visit
+/// exactly the same number of schedules (they used to differ — or trip the
+/// explorer's nondeterminism assert — whenever the two launching threads
+/// numbered their first cells in the other order).
+#[test]
+fn spsc_ring_exploration_is_schedule_determined() {
+    let counts: Vec<(usize, usize)> = (0..50)
+        .map(|_| {
+            let report = explore(&mirror_relaxed("spsc-ring-repeat"), spsc_ring_scenario);
+            report.assert_ok();
+            (report.schedules, report.pruned)
+        })
+        .collect();
+    assert!(
+        counts.iter().all(|c| *c == counts[0]),
+        "schedule counts differ across repeats: {counts:?}"
+    );
 }
 
 #[test]

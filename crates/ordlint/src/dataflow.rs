@@ -20,42 +20,29 @@ pub struct Binding {
     pub rhs: (usize, usize),
 }
 
-use lfrt_srcscan::lex::is_ident_char;
+use lfrt_srcscan::lex::{self, is_ident_char, prev_sig, skip_ws, words};
 
 /// Collects `let [mut] x = rhs;` bindings and simple `x = rhs;`
 /// assignments inside `clean[span]`, in source order.
 pub fn bindings(clean: &str, span: (usize, usize)) -> Vec<Binding> {
-    let bytes = clean.as_bytes();
     let mut out = Vec::new();
-    let mut i = span.0;
-    while i < span.1 {
-        if !is_ident_char(bytes[i]) || (i > 0 && is_ident_char(bytes[i - 1])) {
-            i += 1;
+    // A binding's right-hand side is not scanned for nested bindings.
+    let mut resume = span.0;
+    for (at, word) in words(&clean[span.0..span.1]) {
+        let (start, end) = (span.0 + at, span.0 + at + word.len());
+        if start < resume {
             continue;
         }
-        let start = i;
-        while i < span.1 && is_ident_char(bytes[i]) {
-            i += 1;
-        }
-        let word = &clean[start..i];
-        if word == "let" {
-            if let Some(b) = parse_let(clean, span, i) {
-                i = b.rhs.1;
-                out.push(b);
-            }
-        } else if let Some(b) = parse_assign(clean, span, start, i) {
-            i = b.rhs.1;
+        let binding = match word {
+            "let" => parse_let(clean, span, end),
+            _ => parse_assign(clean, span, start, end),
+        };
+        if let Some(b) = binding {
+            resume = b.rhs.1;
             out.push(b);
         }
     }
     out
-}
-
-fn skip_ws(bytes: &[u8], mut i: usize, end: usize) -> usize {
-    while i < end && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    i
 }
 
 fn parse_let(clean: &str, span: (usize, usize), after_let: usize) -> Option<Binding> {
@@ -101,11 +88,7 @@ fn parse_assign(
     let bytes = clean.as_bytes();
     // Only statement-position targets: the previous significant byte must
     // end a statement, open a block, or end a match arm.
-    let prev = bytes[span.0..name_start]
-        .iter()
-        .rev()
-        .copied()
-        .find(|b| !b.is_ascii_whitespace());
+    let prev = prev_sig(&bytes[span.0..], name_start - span.0);
     if !matches!(prev, None | Some(b';' | b'{' | b'}' | b'>' | b',' | b'(')) {
         return None;
     }
@@ -158,25 +141,15 @@ pub fn contains_word(text: &str, word: &str) -> bool {
 
 /// First occurrence of standalone identifier `word` in `text` at or after
 /// byte `from`.
-pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
+pub fn find_word(text: &str, word: &str, mut from: usize) -> Option<usize> {
     let bytes = text.as_bytes();
-    let w = word.as_bytes();
-    if w.is_empty() {
-        return None;
-    }
-    let mut i = from;
-    while i + w.len() <= bytes.len() {
-        if &bytes[i..i + w.len()] == w
-            && (i == 0 || !is_ident_char(bytes[i - 1]))
-            && (i + w.len() == bytes.len() || !is_ident_char(bytes[i + w.len()]))
-        {
-            let dot_field = i > 0 && bytes[i - 1] == b'.';
-            let path_seg = (i > 0 && bytes[i - 1] == b':') || bytes.get(i + w.len()) == Some(&b':');
-            if !dot_field && !path_seg {
-                return Some(i);
-            }
+    while let Some(i) = lex::find_word(text, word, from) {
+        let dot_field = i > 0 && bytes[i - 1] == b'.';
+        let path_seg = (i > 0 && bytes[i - 1] == b':') || bytes.get(i + word.len()) == Some(&b':');
+        if !dot_field && !path_seg {
+            return Some(i);
         }
-        i += 1;
+        from = i + 1;
     }
     None
 }
@@ -202,6 +175,13 @@ pub fn propagate(
     tainted
 }
 
+/// Whether `text` opens with a dereferencing method call.
+pub fn starts_with_deref(text: &str) -> bool {
+    [".deref()", ".deref_mut()", ".as_ref()", ".as_mut()"]
+        .iter()
+        .any(|m| text.starts_with(m))
+}
+
 /// First dereference-shaped use of `ident` in `clean[span]` at or after
 /// `from`: `*ident` (tight, not multiplication) or
 /// `ident.deref()`/`.deref_mut()`/`.as_ref()`/`.as_mut()`.
@@ -219,22 +199,14 @@ pub fn deref_use_after(
         // `*ident`: the star must be adjacent and not a multiplication
         // (previous significant byte an identifier char or `)`).
         if pos > 0 && bytes[pos - 1] == b'*' {
-            let prev = bytes[..pos - 1]
-                .iter()
-                .rev()
-                .copied()
-                .find(|b| !b.is_ascii_whitespace());
+            let prev = prev_sig(bytes, pos - 1);
             let multiplication =
                 matches!(prev, Some(p) if is_ident_char(p) || p == b')' || p == b']');
             if !multiplication {
                 return Some(base + pos);
             }
         }
-        let after = &text[pos + ident.len()..];
-        if ["deref()", "deref_mut()", "as_ref()", "as_mut()"]
-            .iter()
-            .any(|m| after.starts_with(&format!(".{m}")))
-        {
+        if starts_with_deref(&text[pos + ident.len()..]) {
             return Some(base + pos);
         }
         i = pos + ident.len();

@@ -14,9 +14,10 @@
 //!    receivers are written where, read where, at which ordering).
 //! 3. [`rules`] applies six local heuristics (ORD001–ORD006) over a
 //!    forward-textual [`dataflow`] approximation.
-//! 4. [`baseline`] matches the findings against the checked-in
-//!    `ordlint.toml`; intentional patterns carry a written justification,
-//!    and both unbaselined findings *and* stale entries fail the run.
+//! 4. The findings are matched against the `[[allow]]` entries of the
+//!    checked-in `ordlint.toml` under `lfrt_srcscan::baseline`'s contract:
+//!    intentional patterns carry a written justification, and both
+//!    unbaselined findings *and* stale entries fail the run.
 //!
 //! The companion dynamic check is `lfrt-interleave`'s
 //! `MemoryMode::StoreBuffer`: what a rule merely suspects, a store-buffer
@@ -29,12 +30,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod dataflow;
 pub mod graph;
 pub mod report;
 pub mod rules;
 pub mod scan;
+/// The default `--root`, shared with `lfrt-progress` via `lfrt-srcscan`.
+pub use lfrt_srcscan::report::workspace_root;
 /// Comment/string blanking and [`source::SourceFile`], shared with
 /// `lfrt-progress` via `lfrt-srcscan`.
 pub use lfrt_srcscan::source;
@@ -42,11 +44,27 @@ pub use lfrt_srcscan::source;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use baseline::MatchResult;
+use lfrt_srcscan::baseline::{self, Lint};
+use lfrt_srcscan::walk;
+
 use graph::GraphEntry;
 use rules::Finding;
 use scan::Site;
-use source::SourceFile;
+
+/// What this lint states about itself to the shared baseline reader,
+/// report and driver.
+pub const LINT: Lint = Lint {
+    tool: "ordlint",
+    manifest: "ordlint.toml",
+    manifest_flag: "baseline",
+    manifest_required: false,
+    error_prefix: "",
+    table: "allow",
+    detail_key: "receiver",
+};
+
+/// The baseline match outcome over this lint's findings.
+pub type MatchResult = baseline::MatchResult<Finding>;
 
 /// Everything one run produces, pre-baseline-matching included.
 #[derive(Debug)]
@@ -86,41 +104,24 @@ fn workspace_dirs(root: &Path) -> Vec<PathBuf> {
         }
     }
     dirs.push(root.join("vendor").join("crossbeam").join("src"));
-    dirs.retain(|d| d.is_dir());
     dirs
 }
 
-/// Loads every source file under `root`.
-///
-/// A workspace checkout (a `crates/` directory exists) is scanned through
-/// [`workspace_dirs`]; any other root — a fixture directory in tests — is
-/// walked recursively for `.rs` files.
+/// Scans `root` and applies the rules; the result still needs
+/// `baseline::apply` (see [`analyze_with_baseline`]).
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from directory walks and file reads.
-pub fn collect_sources(root: &Path) -> io::Result<Vec<SourceFile>> {
-    if root.join("crates").is_dir() {
-        lfrt_srcscan::walk::collect_dirs(root, &workspace_dirs(root))
-    } else {
-        lfrt_srcscan::walk::collect_recursive(root)
-    }
-}
-
-/// Scans `root` and applies the rules; the result still needs
-/// [`baseline::apply`] (see [`analyze_with_baseline`]).
-///
-/// # Errors
-///
-/// Propagates I/O errors from [`collect_sources`].
 pub fn analyze(root: &Path) -> io::Result<(Analysis, Vec<Finding>)> {
-    let sources = collect_sources(root)?;
+    let sources = walk::collect_sources(root, &workspace_dirs(root))?;
     let mut analysis = Analysis {
         root: root.display().to_string(),
         files: Vec::new(),
         sites: Vec::new(),
         graph: Vec::new(),
-        matched: MatchResult::default(),
+        // Nothing matched yet: `analyze_with_baseline` fills this in.
+        matched: baseline::apply(Vec::new(), &[]),
     };
     let mut findings = Vec::new();
     for sf in &sources {
@@ -147,17 +148,8 @@ pub fn analyze(root: &Path) -> io::Result<(Analysis, Vec<Finding>)> {
 ///
 /// I/O errors from the scan, or the baseline parse error string.
 pub fn analyze_with_baseline(root: &Path, baseline_text: &str) -> Result<Analysis, String> {
-    let entries = baseline::parse(baseline_text)?;
+    let entries = baseline::parse(baseline_text, &LINT)?;
     let (mut analysis, findings) = analyze(root).map_err(|e| format!("scan failed: {e}"))?;
     analysis.matched = baseline::apply(findings, &entries);
     Ok(analysis)
-}
-
-/// The workspace root this crate was built in (two levels above the crate
-/// manifest) — the default `--root`.
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
 }

@@ -10,51 +10,18 @@
 //! Exit status: 0 when every finding is baselined (with justification) and
 //! no baseline entry is stale; 1 otherwise; 2 on I/O or parse errors.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lfrt_bench::Args;
-use lfrt_ordlint::{analyze_with_baseline, report, workspace_root};
+use lfrt_ordlint::{analyze_with_baseline, report, LINT};
+use lfrt_srcscan::report::{run, Outcome};
 
 fn main() -> ExitCode {
-    let args = Args::from_env();
-    let root = match args.get_str("root", "") {
-        s if s.is_empty() => workspace_root(),
-        s => PathBuf::from(s),
-    };
-    let baseline_path = match args.get_str("baseline", "") {
-        s if s.is_empty() => root.join("ordlint.toml"),
-        s => PathBuf::from(s),
-    };
-    let baseline_text = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => {
-            eprintln!("ordlint: cannot read {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let analysis = match analyze_with_baseline(&root, &baseline_text) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("ordlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let list = args.get_str("list", "false") == "true";
-    print!("{}", report::render_text(&analysis, list));
-    let json_path = args.get_str("json", "");
-    if !json_path.is_empty() {
-        let doc = report::to_json(&analysis).to_string_pretty();
-        if let Err(e) = std::fs::write(&json_path, doc) {
-            eprintln!("ordlint: cannot write {json_path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("ordlint: wrote {json_path}");
-    }
-    if report::is_clean(&analysis.matched) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    run(&LINT, |root, baseline_text, list| {
+        let analysis = analyze_with_baseline(root, baseline_text)?;
+        Ok(Outcome {
+            text: report::render_text(&analysis, list),
+            json: report::to_json(&analysis),
+            clean: analysis.matched.is_clean(),
+        })
+    })
 }

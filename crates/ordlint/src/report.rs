@@ -1,8 +1,10 @@
 //! Human-readable and JSON rendering of an analysis.
 //!
-//! The JSON document (schema below) reuses `lfrt_bench::json`'s canonical
-//! printer, so CI can archive `ordlint-report.json` as an artifact and diff
-//! it across commits byte for byte.
+//! The site inventory and publication graph are this lint's own; the
+//! findings, stale entries and summary counts come from
+//! `lfrt_srcscan::report`, printed through `lfrt_json`'s canonical printer
+//! so CI can archive `ordlint-report.json` as an artifact and diff it
+//! across commits byte for byte.
 //!
 //! ```text
 //! {
@@ -23,141 +25,64 @@
 
 use std::fmt::Write as _;
 
-use lfrt_bench::json::Json;
+use lfrt_json::Json;
+use lfrt_srcscan::report::{matched_json, render_matched};
 
-use crate::baseline::MatchResult;
 use crate::graph::{Access, GraphEntry};
-use crate::rules::Finding;
 use crate::scan::Site;
-use crate::Analysis;
-
-fn finding_json(f: &Finding, baselined: bool, justification: Option<&str>) -> Json {
-    let mut fields = vec![
-        ("rule".into(), f.rule.into()),
-        ("severity".into(), f.severity.into()),
-        ("file".into(), f.file.as_str().into()),
-        ("line".into(), f.line.into()),
-        ("function".into(), f.function.as_str().into()),
-        ("receiver".into(), f.receiver.as_str().into()),
-        ("message".into(), f.message.as_str().into()),
-        ("baselined".into(), baselined.into()),
-    ];
-    if let Some(j) = justification {
-        fields.push(("justification".into(), j.into()));
-    }
-    Json::Obj(fields)
-}
+use crate::{Analysis, LINT};
 
 fn site_json(s: &Site, file: &str) -> Json {
-    Json::Obj(vec![
-        ("file".into(), file.into()),
-        ("line".into(), s.line.into()),
-        ("function".into(), s.function.as_str().into()),
-        ("receiver".into(), s.receiver.as_str().into()),
-        ("kind".into(), s.kind.name().into()),
-        ("method".into(), s.method.as_str().into()),
-        (
-            "orderings".into(),
-            Json::Arr(s.orderings.iter().map(|o| o.as_str().into()).collect()),
-        ),
+    Json::obj([
+        ("file", file.into()),
+        ("line", s.line.into()),
+        ("function", s.function.as_str().into()),
+        ("receiver", s.receiver.as_str().into()),
+        ("kind", s.kind.name().into()),
+        ("method", s.method.as_str().into()),
+        ("orderings", s.orderings.clone().into()),
     ])
 }
 
 fn access_json(a: &Access) -> Json {
-    Json::Obj(vec![
-        ("function".into(), a.function.as_str().into()),
-        ("line".into(), a.line.into()),
-        ("kind".into(), a.kind.into()),
-        ("ordering".into(), a.ordering.as_str().into()),
+    Json::obj([
+        ("function", a.function.as_str().into()),
+        ("line", a.line.into()),
+        ("kind", a.kind.into()),
+        ("ordering", a.ordering.as_str().into()),
     ])
 }
 
 fn graph_json(g: &GraphEntry) -> Json {
-    Json::Obj(vec![
-        ("file".into(), g.file.as_str().into()),
-        ("receiver".into(), g.receiver.as_str().into()),
-        (
-            "writers".into(),
-            Json::Arr(g.writers.iter().map(access_json).collect()),
-        ),
-        (
-            "readers".into(),
-            Json::Arr(g.readers.iter().map(access_json).collect()),
-        ),
+    let accesses = |list: &[Access]| Json::Arr(list.iter().map(access_json).collect());
+    Json::obj([
+        ("file", g.file.as_str().into()),
+        ("receiver", g.receiver.as_str().into()),
+        ("writers", accesses(&g.writers)),
+        ("readers", accesses(&g.readers)),
     ])
 }
 
 /// The full JSON document for an analysis.
 pub fn to_json(analysis: &Analysis) -> Json {
-    let m = &analysis.matched;
-    let mut findings: Vec<Json> = m
-        .unbaselined
-        .iter()
-        .map(|f| finding_json(f, false, None))
-        .collect();
-    findings.extend(
-        m.baselined
-            .iter()
-            .map(|(f, j)| finding_json(f, true, Some(j))),
-    );
-    Json::Obj(vec![
-        ("schema_version".into(), 1u64.into()),
-        ("root".into(), analysis.root.as_str().into()),
-        ("files_scanned".into(), analysis.files.len().into()),
-        (
-            "sites".into(),
-            Json::Arr(
-                analysis
-                    .sites
-                    .iter()
-                    .map(|(file, s)| site_json(s, file))
-                    .collect(),
-            ),
-        ),
-        (
-            "publication_graph".into(),
-            Json::Arr(analysis.graph.iter().map(graph_json).collect()),
-        ),
-        ("findings".into(), Json::Arr(findings)),
-        (
-            "stale_baseline".into(),
-            Json::Arr(
-                m.stale
-                    .iter()
-                    .map(|e| {
-                        Json::Obj(vec![
-                            ("rule".into(), e.rule.as_str().into()),
-                            ("file".into(), e.file.as_str().into()),
-                            ("function".into(), e.function.as_str().into()),
-                            ("receiver".into(), e.receiver.as_str().into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("summary".into(), summary_json(analysis)),
-    ])
-}
-
-fn summary_json(analysis: &Analysis) -> Json {
-    let m = &analysis.matched;
-    Json::Obj(vec![
-        ("sites".into(), analysis.sites.len().into()),
-        (
-            "findings".into(),
-            (m.baselined.len() + m.unbaselined.len()).into(),
-        ),
-        ("baselined".into(), m.baselined.len().into()),
-        ("unbaselined".into(), m.unbaselined.len().into()),
-        ("stale".into(), m.stale.len().into()),
-    ])
+    let sites = analysis.sites.iter().map(|(file, s)| site_json(s, file));
+    let graph = analysis.graph.iter().map(graph_json);
+    let mut doc = vec![
+        ("schema_version", 1u64.into()),
+        ("root", analysis.root.as_str().into()),
+        ("files_scanned", analysis.files.len().into()),
+        ("sites", Json::Arr(sites.collect())),
+        ("publication_graph", Json::Arr(graph.collect())),
+    ];
+    let counts = [("sites", analysis.sites.len())];
+    doc.extend(matched_json(&LINT, &analysis.matched, &counts, &[]));
+    Json::obj(doc)
 }
 
 /// The human-readable report. `list_sites` additionally dumps the full
 /// site inventory and publication graph.
 pub fn render_text(analysis: &Analysis, list_sites: bool) -> String {
     let mut out = String::new();
-    let m = &analysis.matched;
     let _ = writeln!(
         out,
         "ordlint: {} files, {} atomic sites with literal orderings",
@@ -167,51 +92,18 @@ pub fn render_text(analysis: &Analysis, list_sites: bool) -> String {
     if list_sites {
         render_inventory(&mut out, analysis);
     }
-    for f in &m.unbaselined {
-        let _ = writeln!(
-            out,
-            "{}:{}: {} [{}] in `{}` on `{}`: {}",
-            f.file, f.line, f.rule, f.severity, f.function, f.receiver, f.message
-        );
-    }
-    for (f, justification) in &m.baselined {
-        let _ = writeln!(
-            out,
-            "{}:{}: {} baselined: {}",
-            f.file, f.line, f.rule, justification
-        );
-    }
-    for e in &m.stale {
-        let _ = writeln!(
-            out,
-            "ordlint.toml:{}: stale [[allow]] entry ({} {} `{}` `{}`) matches no \
-             finding — remove it",
-            e.line, e.rule, e.file, e.function, e.receiver
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{} finding(s): {} baselined, {} unbaselined; {} stale baseline entr{}",
-        m.baselined.len() + m.unbaselined.len(),
-        m.baselined.len(),
-        m.unbaselined.len(),
-        m.stale.len(),
-        if m.stale.len() == 1 { "y" } else { "ies" },
-    );
+    render_matched(&mut out, &LINT, &analysis.matched);
+    out.push('\n');
     out
 }
 
 fn render_inventory(out: &mut String, analysis: &Analysis) {
     for (file, s) in &analysis.sites {
+        let (line, kind, receiver, method) = (s.line, s.kind.name(), &s.receiver, &s.method);
+        let orderings = s.orderings.join(", ");
         let _ = writeln!(
             out,
-            "  site {}:{} {} `{}`.{}({})",
-            file,
-            s.line,
-            s.kind.name(),
-            s.receiver,
-            s.method,
-            s.orderings.join(", ")
+            "  site {file}:{line} {kind} `{receiver}`.{method}({orderings})"
         );
     }
     for g in &analysis.graph {
@@ -219,25 +111,11 @@ fn render_inventory(out: &mut String, analysis: &Analysis) {
             continue;
         }
         let _ = writeln!(out, "  publish {} `{}`:", g.file, g.receiver);
-        for w in &g.writers {
-            let _ = writeln!(
-                out,
-                "    writer {}:{} {} {}",
-                w.function, w.line, w.kind, w.ordering
-            );
-        }
-        for r in &g.readers {
-            let _ = writeln!(
-                out,
-                "    reader {}:{} {} {}",
-                r.function, r.line, r.kind, r.ordering
-            );
+        for (role, accesses) in [("writer", &g.writers), ("reader", &g.readers)] {
+            for a in accesses {
+                let (function, line, kind, ordering) = (&a.function, a.line, a.kind, &a.ordering);
+                let _ = writeln!(out, "    {role} {function}:{line} {kind} {ordering}");
+            }
         }
     }
-}
-
-/// Exit status for the run: success only when nothing is unbaselined and
-/// nothing is stale.
-pub fn is_clean(m: &MatchResult) -> bool {
-    m.unbaselined.is_empty() && m.stale.is_empty()
 }

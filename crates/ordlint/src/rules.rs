@@ -19,10 +19,12 @@
 //! | ORD006 | warn | fence with no pairable atomic access in its function |
 
 use crate::dataflow::{
-    bindings, contains_word, deref_use_after, err_binding_after, propagate, Binding,
+    bindings, contains_word, deref_use_after, err_binding_after, propagate, starts_with_deref,
+    Binding,
 };
-use crate::scan::{FnSpan, Kind, ScanResult, Site};
+use crate::scan::{Kind, ScanResult, Site};
 use crate::source::SourceFile;
+use lfrt_srcscan::items::FnItem;
 
 /// One rule firing, anchored to a site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,15 +45,29 @@ pub struct Finding {
     pub message: String,
 }
 
-impl Finding {
-    /// The baseline key: findings and baseline entries match on it.
-    pub fn key(&self) -> (String, String, String, String) {
-        (
-            self.rule.to_string(),
-            self.file.clone(),
-            self.function.clone(),
-            self.receiver.clone(),
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (file, line, rule, severity) = (&self.file, self.line, self.rule, self.severity);
+        let (function, receiver, message) = (&self.function, &self.receiver, &self.message);
+        write!(
+            f,
+            "{file}:{line}: {rule} [{severity}] in `{function}` on `{receiver}`: {message}"
         )
+    }
+}
+
+impl lfrt_srcscan::baseline::Finding for Finding {
+    fn key(&self) -> [&str; 4] {
+        [self.rule, &self.file, &self.function, &self.receiver]
+    }
+    fn line(&self) -> usize {
+        self.line
+    }
+    fn message(&self) -> &str {
+        &self.message
+    }
+    fn severity(&self) -> Option<&str> {
+        Some(self.severity)
     }
 }
 
@@ -168,7 +184,7 @@ fn rule_ord001(sf: &SourceFile, sites: &[&Site], binds: &[Binding], findings: &m
 /// pointee.
 fn rule_ord002(
     sf: &SourceFile,
-    span: &FnSpan,
+    span: &FnItem,
     sites: &[&Site],
     binds: &[Binding],
     findings: &mut Vec<Finding>,
@@ -181,10 +197,7 @@ fn rule_ord002(
         }
         // (a) The loaded value is dereferenced in the same chain:
         // `x.load(Relaxed, g).deref()`.
-        let tail = sf.clean[site.args_end..span.end].trim_start();
-        let chain_deref = ["deref()", "deref_mut()", "as_ref()", "as_mut()"]
-            .iter()
-            .any(|m| tail.starts_with(&format!(".{m}")));
+        let chain_deref = starts_with_deref(sf.clean[site.args_end..span.end].trim_start());
         // (b) The value is bound and a tainted identifier is dereferenced
         // later in the function.
         let deref_at = if chain_deref {
@@ -290,7 +303,7 @@ fn rule_ord004(sf: &SourceFile, sites: &[&Site], findings: &mut Vec<Finding>) {
 /// ORD005: an `Acquire`-or-stronger failure ordering only matters when the
 /// observed (failure) value is dereferenced; feeding it back as the next
 /// CAS expectation needs no synchronization, so `Relaxed` suffices.
-fn rule_ord005(sf: &SourceFile, span: &FnSpan, sites: &[&Site], findings: &mut Vec<Finding>) {
+fn rule_ord005(sf: &SourceFile, span: &FnItem, sites: &[&Site], findings: &mut Vec<Finding>) {
     let fspan = (span.start, span.end);
     for site in sites {
         if site.kind != Kind::Cas || site.orderings.len() < 2 {

@@ -14,11 +14,13 @@
 //! local evidence to lint and are skipped by design; the weak-memory
 //! explorer covers them dynamically.
 //!
-//! `#[cfg(test)]` items are skipped entirely: the lint targets production
-//! code, and test bodies deliberately exercise odd orderings.
+//! Function items and the `#[cfg(test)]` spans to skip come from
+//! `lfrt_srcscan::items`: the lint targets production code, and test
+//! bodies deliberately exercise odd orderings.
 
 use crate::source::SourceFile;
-use lfrt_srcscan::lex::{is_ident_char, matching, prev_sig, receiver_chain};
+use lfrt_srcscan::items::{scan_items, FnItem};
+use lfrt_srcscan::lex::{matching, prev_sig, receiver_chain, skip_ws, words};
 
 /// The access class of a site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,24 +93,13 @@ pub struct Site {
     pub args_end: usize,
 }
 
-/// Span of one function body in the cleaned text.
-#[derive(Debug, Clone)]
-pub struct FnSpan {
-    /// The function's name.
-    pub name: String,
-    /// Byte offset of the opening `{`.
-    pub start: usize,
-    /// Byte offset just past the closing `}`.
-    pub end: usize,
-}
-
 /// Everything the scanner extracts from one file.
 #[derive(Debug, Default)]
 pub struct ScanResult {
     /// Qualifying sites, in source order.
     pub sites: Vec<Site>,
-    /// Function body spans, in order of their closing brace.
-    pub functions: Vec<FnSpan>,
+    /// Function items, in order of their closing brace.
+    pub functions: Vec<FnItem>,
 }
 
 fn method_kind(name: &str) -> Option<Kind> {
@@ -123,112 +114,52 @@ fn method_kind(name: &str) -> Option<Kind> {
     })
 }
 
-/// Scans one cleaned file for qualifying sites and function spans.
+/// Scans one cleaned file for qualifying sites and function items.
 pub fn scan_file(sf: &SourceFile) -> ScanResult {
     let bytes = sf.clean.as_bytes();
-    let mut result = ScanResult::default();
-    // Function-body stack: (name, depth of the body's braces).
-    let mut fn_stack: Vec<(String, usize, usize)> = Vec::new();
-    let mut pending_fn: Option<String> = None;
-    let mut awaiting_fn_name = false;
-    // `#[cfg(test)]` skip: once armed, the next braced item is skipped.
-    let mut skip_pending = false;
-    let mut skip_depth: Option<usize> = None;
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b'{' => {
-                depth += 1;
-                let pending = pending_fn.take();
-                if skip_pending {
-                    skip_pending = false;
-                    skip_depth = Some(depth);
-                } else if let Some(name) = pending {
-                    fn_stack.push((name, depth, i));
-                }
-                i += 1;
-            }
-            b'}' => {
-                if let Some((name, d, start)) = fn_stack.last().cloned() {
-                    if d == depth {
-                        fn_stack.pop();
-                        if skip_depth.is_none() {
-                            result.functions.push(FnSpan {
-                                name,
-                                start,
-                                end: i + 1,
-                            });
-                        }
-                    }
-                }
-                if skip_depth == Some(depth) {
-                    skip_depth = None;
-                }
-                depth = depth.saturating_sub(1);
-                i += 1;
-            }
-            b';' => {
-                // A trait method declaration ends without a body.
-                pending_fn = None;
-                i += 1;
-            }
-            b'#' if sf.clean[i..].starts_with("#[cfg(test)]") && skip_depth.is_none() => {
-                skip_pending = true;
-                i += "#[cfg(test)]".len();
-            }
-            _ if is_ident_char(b) && (i == 0 || !is_ident_char(bytes[i - 1])) => {
-                let start = i;
-                while i < bytes.len() && is_ident_char(bytes[i]) {
-                    i += 1;
-                }
-                let word = &sf.clean[start..i];
-                if awaiting_fn_name {
-                    awaiting_fn_name = false;
-                    pending_fn = Some(word.to_string());
-                    continue;
-                }
-                if word == "fn" {
-                    awaiting_fn_name = true;
-                    continue;
-                }
-                if skip_depth.is_some() {
-                    continue;
-                }
-                let preceded_by_dot = prev_sig(bytes, start) == Some(b'.');
-                if let Some(kind) = method_kind(word) {
-                    if preceded_by_dot {
-                        if let Some(site) = build_site(sf, start, i, word, kind, &fn_stack) {
-                            result.sites.push(site);
-                        }
-                    }
-                } else if (word == "fence" || word == "compiler_fence") && !preceded_by_dot {
-                    if let Some(site) = build_site(sf, start, i, word, Kind::Fence, &fn_stack) {
-                        result.sites.push(site);
-                    }
-                }
-            }
-            _ => i += 1,
+    let items = scan_items(sf);
+    let mut sites = Vec::new();
+    // The identifier after `fn` names a definition (`fn fence(...)`), never
+    // a call site.
+    let mut after_fn = false;
+    for (start, word) in words(&sf.clean) {
+        if std::mem::replace(&mut after_fn, false) {
+            continue;
         }
+        if word == "fn" {
+            after_fn = true;
+            continue;
+        }
+        let preceded_by_dot = prev_sig(bytes, start) == Some(b'.');
+        let kind = match method_kind(word) {
+            Some(kind) if preceded_by_dot => kind,
+            None if (word == "fence" || word == "compiler_fence") && !preceded_by_dot => {
+                Kind::Fence
+            }
+            _ => continue,
+        };
+        if items.is_skipped(start) {
+            continue;
+        }
+        let function = items.enclosing(start).map_or("", |f| f.name.as_str());
+        sites.extend(build_site(sf, start, word, kind, function));
     }
-    result
+    ScanResult {
+        sites,
+        functions: items.fns,
+    }
 }
 
 fn build_site(
     sf: &SourceFile,
     name_start: usize,
-    name_end: usize,
     method: &str,
     kind: Kind,
-    fn_stack: &[(String, usize, usize)],
+    function: &str,
 ) -> Option<Site> {
     let bytes = sf.clean.as_bytes();
     // The call's opening paren (generic turbofish never appears on these).
-    let mut open = name_end;
-    while open < bytes.len() && bytes[open].is_ascii_whitespace() {
-        open += 1;
-    }
+    let open = skip_ws(bytes, name_start + method.len(), bytes.len());
     if bytes.get(open) != Some(&b'(') {
         return None;
     }
@@ -246,10 +177,7 @@ fn build_site(
     Some(Site {
         offset: name_start,
         line: sf.line_of(name_start),
-        function: fn_stack
-            .last()
-            .map(|(n, _, _)| n.clone())
-            .unwrap_or_default(),
+        function: function.to_string(),
         receiver,
         base_ident,
         method: method.to_string(),
@@ -262,24 +190,10 @@ fn build_site(
 
 /// Literal ordering tokens in `text`, in order of appearance.
 pub fn ordering_tokens(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if is_ident_char(bytes[i]) && (i == 0 || !is_ident_char(bytes[i - 1])) {
-            let start = i;
-            while i < bytes.len() && is_ident_char(bytes[i]) {
-                i += 1;
-            }
-            let word = &text[start..i];
-            if ORDER_TOKENS.contains(&word) {
-                out.push(word.to_string());
-            }
-        } else {
-            i += 1;
-        }
-    }
-    out
+    words(text)
+        .filter(|(_, word)| ORDER_TOKENS.contains(word))
+        .map(|(_, word)| word.to_string())
+        .collect()
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@
 //!    *exactly*, so the manifest and the API can only drift together.
 //! 4. [`rules`] applies PRG001–PRG006 over functions and reachability.
 //! 5. Findings diff against the `[[baseline]]` entries in the same file
-//!    (unbaselined findings and stale entries both fail, same contract
-//!    as `ordlint.toml`).
+//!    under `lfrt_srcscan::baseline`'s contract (unbaselined findings and
+//!    stale entries both fail, same as `ordlint.toml`).
 //!
 //! Run it as `cargo run -p lfrt-progress` (add `--json <path>` for the
 //! CI artifact, `--list` for the op/function inventory).
@@ -39,22 +39,32 @@ pub mod scan;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
+use lfrt_srcscan::baseline::{self, Lint};
+use lfrt_srcscan::items::scan_items;
+/// The default `--root`, shared with `lfrt-ordlint` via `lfrt-srcscan`.
+pub use lfrt_srcscan::report::workspace_root;
 use lfrt_srcscan::source::SourceFile;
 
 use callgraph::Graph;
-use manifest::MatchResult;
+use manifest::OpDecl;
+use rules::Finding;
 use scan::FnInfo;
 
-/// A declared op as reported (post-resolution).
-#[derive(Debug, Clone)]
-pub struct OpReport {
-    /// Qualified name.
-    pub name: String,
-    /// Declared class name (`wait_free` | `lock_free` | `blocking`).
-    pub class: String,
-    /// Declared allocation-freedom.
-    pub no_alloc: bool,
-}
+/// What this lint states about itself to the shared baseline reader,
+/// report and driver. Unlike `ordlint`, a missing manifest is an error,
+/// not an empty baseline — the manifest IS the contract being checked.
+pub const LINT: Lint = Lint {
+    tool: "progress",
+    manifest: "progress.toml",
+    manifest_flag: "manifest",
+    manifest_required: true,
+    error_prefix: "progress.toml:",
+    table: "baseline",
+    detail_key: "detail",
+};
+
+/// The baseline match outcome over this lint's findings.
+pub type MatchResult = baseline::MatchResult<Finding>;
 
 /// Everything one run produces.
 #[derive(Debug)]
@@ -66,7 +76,7 @@ pub struct Analysis {
     /// Number of functions scanned.
     pub functions: usize,
     /// Declared ops.
-    pub ops: Vec<OpReport>,
+    pub ops: Vec<OpDecl>,
     /// Public fns in the coverage scope with no `[[op]]` declaration —
     /// these fail the run.
     pub undeclared: Vec<String>,
@@ -102,16 +112,9 @@ fn workspace_coverage(rel_path: &str) -> bool {
 
 /// Loads sources for `root`: workspace layout when a `crates/` directory
 /// exists, recursive otherwise (fixture directories in tests).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the walk and file reads.
-pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    if root.join("crates").is_dir() {
-        lfrt_srcscan::walk::collect_dirs(root, &workspace_dirs(root))
-    } else {
-        lfrt_srcscan::walk::collect_recursive(root)
-    }
+fn collect_sources(root: &Path) -> Result<Vec<SourceFile>, String> {
+    lfrt_srcscan::walk::collect_sources(root, &workspace_dirs(root))
+        .map_err(|e| format!("scan failed: {e}"))
 }
 
 /// Full pipeline: scan, call graph, coverage, rules, baseline match.
@@ -126,7 +129,7 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
 /// I/O errors from the scan, or the manifest parse error string.
 pub fn analyze(root: &Path, manifest_text: &str) -> Result<Analysis, String> {
     let manifest = manifest::parse(manifest_text)?;
-    let sources = collect_sources(root).map_err(|e| format!("scan failed: {e}"))?;
+    let sources = collect_sources(root)?;
     let workspace_layout = root.join("crates").is_dir();
 
     // Flat function list across all files.
@@ -145,13 +148,7 @@ pub fn analyze(root: &Path, manifest_text: &str) -> Result<Analysis, String> {
     let graph = Graph::build(&fns);
 
     // Coverage: declared set == public-fn set in scope, exactly.
-    let in_scope = |rel: &str| {
-        if workspace_layout {
-            workspace_coverage(rel)
-        } else {
-            true
-        }
-    };
+    let in_scope = |rel: &str| !workspace_layout || workspace_coverage(rel);
     let mut public: Vec<&str> = fns
         .iter()
         .zip(&fn_files)
@@ -190,34 +187,17 @@ pub fn analyze(root: &Path, manifest_text: &str) -> Result<Analysis, String> {
         op_roots: &op_roots,
     };
     let findings = rules::run_rules(&ctx);
-    let matched = manifest::apply(findings, &manifest.baseline);
+    let matched = baseline::apply(findings, &manifest.baseline);
 
     Ok(Analysis {
         root: root.display().to_string(),
         files,
         functions: fns.len(),
-        ops: manifest
-            .ops
-            .iter()
-            .map(|o| OpReport {
-                name: o.name.clone(),
-                class: o.class.name().to_string(),
-                no_alloc: o.no_alloc,
-            })
-            .collect(),
+        ops: manifest.ops,
         undeclared,
         unresolved,
         matched,
     })
-}
-
-/// The workspace root this crate was built in (two levels above the crate
-/// manifest) — the default `--root`.
-pub fn workspace_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .canonicalize()
-        .unwrap_or_else(|_| PathBuf::from("."))
 }
 
 /// Enumerates the public ops the manifest must cover for a workspace
@@ -228,18 +208,12 @@ pub fn workspace_root() -> PathBuf {
 ///
 /// Propagates scan I/O errors as strings.
 pub fn enumerate_public_ops(root: &Path) -> Result<Vec<String>, String> {
-    let sources = collect_sources(root).map_err(|e| format!("scan failed: {e}"))?;
-    let mut out = Vec::new();
-    for sf in &sources {
-        if !workspace_coverage(&sf.rel_path) {
-            continue;
-        }
-        for f in scan::scan_file(sf) {
-            if f.is_pub {
-                out.push(f.qname);
-            }
-        }
-    }
+    let sources = collect_sources(root)?;
+    let covered = sources.iter().filter(|sf| workspace_coverage(&sf.rel_path));
+    let public = covered
+        .flat_map(|sf| scan_items(sf).fns)
+        .filter(|f| f.is_pub);
+    let mut out: Vec<String> = public.map(|f| f.qname).collect();
     out.sort();
     out.dedup();
     Ok(out)

@@ -13,50 +13,18 @@
 //! missing manifest is an error, not an empty baseline — the manifest IS
 //! the contract being checked.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use lfrt_bench::Args;
-use lfrt_progress::{analyze, report, workspace_root};
+use lfrt_progress::{analyze, report, LINT};
+use lfrt_srcscan::report::{run, Outcome};
 
 fn main() -> ExitCode {
-    let args = Args::from_env();
-    let root = match args.get_str("root", "") {
-        s if s.is_empty() => workspace_root(),
-        s => PathBuf::from(s),
-    };
-    let manifest_path = match args.get_str("manifest", "") {
-        s if s.is_empty() => root.join("progress.toml"),
-        s => PathBuf::from(s),
-    };
-    let manifest_text = match std::fs::read_to_string(&manifest_path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("progress: cannot read {}: {e}", manifest_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let analysis = match analyze(&root, &manifest_text) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("progress: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let list = args.get_str("list", "false") == "true";
-    print!("{}", report::render_text(&analysis, list));
-    let json_path = args.get_str("json", "");
-    if !json_path.is_empty() {
-        let doc = report::to_json(&analysis).to_string_pretty();
-        if let Err(e) = std::fs::write(&json_path, doc) {
-            eprintln!("progress: cannot write {json_path}: {e}");
-            return ExitCode::from(2);
-        }
-        eprintln!("progress: wrote {json_path}");
-    }
-    if report::is_clean(&analysis) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
+    run(&LINT, |root, manifest_text, list| {
+        let analysis = analyze(root, manifest_text)?;
+        Ok(Outcome {
+            text: report::render_text(&analysis, list),
+            json: report::to_json(&analysis),
+            clean: report::is_clean(&analysis),
+        })
+    })
 }

@@ -7,14 +7,16 @@
 //! (stale) fail it too, so the committed manifest always mirrors the
 //! tree's reviewed state.
 //!
-//! The parser handles exactly the subset the manifest uses — `[[op]]` /
-//! `[[baseline]]` array-of-table headers, `key = "quoted string"` pairs
-//! (with `\"` escapes), bare `true`/`false` for `no_alloc`, and `#`
-//! comments — and rejects everything else loudly rather than guessing.
+//! The text is read by `lfrt_srcscan::manifest` (the TOML subset both
+//! lints share) and the `[[baseline]]` tables are typed by
+//! `lfrt_srcscan::baseline`; this module types the `[[op]]` tables.
 
 use std::fmt;
 
-use crate::rules::Finding;
+use lfrt_srcscan::baseline::{self, Entry};
+use lfrt_srcscan::manifest::{self, Table};
+
+use crate::LINT;
 
 /// A declared progress guarantee, strongest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,30 +77,13 @@ pub struct OpDecl {
     pub line: usize,
 }
 
-/// One `[[baseline]]` entry justifying a known finding.
-#[derive(Debug, Clone)]
-pub struct BaselineEntry {
-    /// Rule ID (`PRG001`...).
-    pub rule: String,
-    /// Relative path of the file the finding is in.
-    pub file: String,
-    /// Qualified name of the function containing the finding.
-    pub function: String,
-    /// Rule-specific discriminator (CAS receiver, blocking token, ...).
-    pub detail: String,
-    /// Why this finding is intentional. Mandatory.
-    pub justification: String,
-    /// 1-based manifest line of the `[[baseline]]` header.
-    pub line: usize,
-}
-
 /// The parsed manifest.
 #[derive(Debug, Default)]
 pub struct Manifest {
     /// Declared ops, in file order.
     pub ops: Vec<OpDecl>,
     /// Baseline entries, in file order.
-    pub baseline: Vec<BaselineEntry>,
+    pub baseline: Vec<Entry>,
 }
 
 impl Manifest {
@@ -108,43 +93,29 @@ impl Manifest {
     }
 }
 
-/// Strips a `#` comment, respecting quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let bytes = line.as_bytes();
-    let mut in_str = false;
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' if in_str => i += 1,
-            b'"' => in_str = !in_str,
-            b'#' if !in_str => return &line[..i],
-            _ => {}
-        }
-        i += 1;
-    }
-    line
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            if let Some(n) = chars.next() {
-                out.push(n);
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-#[derive(PartialEq, Clone, Copy)]
-enum Section {
-    None,
-    Op,
-    Baseline,
+/// Types one `[[op]]` table.
+fn op_decl(t: &Table) -> Result<OpDecl, String> {
+    let at = format!("{}{}", LINT.error_prefix, t.line);
+    let name = t
+        .get("name")
+        .ok_or_else(|| format!("{at}: [[op]] missing `name`"))?;
+    let class_s = t
+        .get("class")
+        .ok_or_else(|| format!("{at}: [[op]] `{name}` missing `class`"))?;
+    let class = Class::parse(class_s).ok_or_else(|| {
+        format!("{at}: unknown class `{class_s}` (wait_free | lock_free | blocking)")
+    })?;
+    let no_alloc = match t.get("no_alloc") {
+        None | Some("false") => false,
+        Some("true") => true,
+        Some(v) => return Err(format!("{at}: no_alloc must be true or false, got `{v}`")),
+    };
+    Ok(OpDecl {
+        name: name.to_string(),
+        class,
+        no_alloc,
+        line: t.line,
+    })
 }
 
 /// Parses manifest text.
@@ -152,174 +123,30 @@ enum Section {
 /// # Errors
 ///
 /// A human-readable message naming the offending line for: unknown table
-/// headers, keys outside a table, unquoted values (other than `no_alloc`
-/// booleans), unknown keys or classes, duplicate op names, and ops or
-/// baseline entries with required keys missing.
+/// headers or keys, keys outside a table, unquoted values (other than
+/// bare booleans), unknown classes, duplicate op names or baseline keys,
+/// and ops or baseline entries with required keys missing.
 pub fn parse(text: &str) -> Result<Manifest, String> {
-    let mut manifest = Manifest::default();
-    let mut section = Section::None;
-    // Fields of the table being accumulated.
-    let mut fields: Vec<(String, String, usize)> = Vec::new();
-    let mut header_line = 0usize;
-
-    fn flush(
-        manifest: &mut Manifest,
-        section: Section,
-        fields: &mut Vec<(String, String, usize)>,
-        header_line: usize,
-    ) -> Result<(), String> {
-        let take = |fields: &[(String, String, usize)], key: &str| {
-            fields
-                .iter()
-                .find(|(k, _, _)| k == key)
-                .map(|(_, v, _)| v.clone())
-        };
-        match section {
-            Section::None => {}
-            Section::Op => {
-                let name = take(fields, "name")
-                    .ok_or_else(|| format!("progress.toml:{header_line}: [[op]] missing `name`"))?;
-                let class_s = take(fields, "class").ok_or_else(|| {
-                    format!("progress.toml:{header_line}: [[op]] `{name}` missing `class`")
-                })?;
-                let class = Class::parse(&class_s).ok_or_else(|| {
-                    format!(
-                        "progress.toml:{header_line}: unknown class `{class_s}` \
-                         (wait_free | lock_free | blocking)"
-                    )
-                })?;
-                let no_alloc = match take(fields, "no_alloc").as_deref() {
-                    None | Some("false") => false,
-                    Some("true") => true,
-                    Some(v) => {
-                        return Err(format!(
-                            "progress.toml:{header_line}: no_alloc must be true or false, got `{v}`"
-                        ))
-                    }
-                };
-                if manifest.ops.iter().any(|o| o.name == name) {
-                    return Err(format!(
-                        "progress.toml:{header_line}: duplicate [[op]] `{name}`"
-                    ));
-                }
-                manifest.ops.push(OpDecl {
-                    name,
-                    class,
-                    no_alloc,
-                    line: header_line,
-                });
-            }
-            Section::Baseline => {
-                let get = |key: &str| {
-                    take(fields, key).ok_or_else(|| {
-                        format!("progress.toml:{header_line}: [[baseline]] missing `{key}`")
-                    })
-                };
-                let justification = get("justification")?;
-                if justification.trim().is_empty() {
-                    return Err(format!(
-                        "progress.toml:{header_line}: [[baseline]] justification must not be empty"
-                    ));
-                }
-                manifest.baseline.push(BaselineEntry {
-                    rule: get("rule")?,
-                    file: get("file")?,
-                    function: get("function")?,
-                    detail: get("detail")?,
-                    justification,
-                    line: header_line,
-                });
-            }
-        }
-        fields.clear();
-        Ok(())
-    }
-
-    for (idx, raw_line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
-            flush(&mut manifest, section, &mut fields, header_line)?;
-            section = match header.trim() {
-                "op" => Section::Op,
-                "baseline" => Section::Baseline,
-                other => {
-                    return Err(format!(
-                        "progress.toml:{lineno}: unknown table `[[{other}]]` \
-                         (expected [[op]] or [[baseline]])"
-                    ))
-                }
-            };
-            header_line = lineno;
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("progress.toml:{lineno}: expected `key = value`"));
-        };
-        if section == Section::None {
+    let schema: manifest::Schema<'_> = &[
+        ("op", &["name", "class", "no_alloc"]),
+        (LINT.table, &LINT.baseline_keys()),
+    ];
+    let tables = manifest::read(text, LINT.error_prefix, schema)?;
+    let mut ops: Vec<OpDecl> = Vec::new();
+    for t in tables.iter().filter(|t| t.name == "op") {
+        let op = op_decl(t)?;
+        if ops.iter().any(|o| o.name == op.name) {
             return Err(format!(
-                "progress.toml:{lineno}: key outside [[op]]/[[baseline]]"
+                "{}{}: duplicate [[op]] `{}`",
+                LINT.error_prefix, op.line, op.name
             ));
         }
-        let key = key.trim().to_string();
-        let value = value.trim();
-        let value = if let Some(q) = value.strip_prefix('"').and_then(|v| v.strip_suffix('"')) {
-            unescape(q)
-        } else if value == "true" || value == "false" {
-            value.to_string()
-        } else {
-            return Err(format!(
-                "progress.toml:{lineno}: value for `{key}` must be quoted (or a bare boolean)"
-            ));
-        };
-        if fields.iter().any(|(k, _, _)| *k == key) {
-            return Err(format!("progress.toml:{lineno}: duplicate key `{key}`"));
-        }
-        fields.push((key, value, lineno));
+        ops.push(op);
     }
-    flush(&mut manifest, section, &mut fields, header_line)?;
-    Ok(manifest)
-}
-
-/// The outcome of matching findings against the baseline.
-#[derive(Debug, Default)]
-pub struct MatchResult {
-    /// Findings covered by an entry, with its justification.
-    pub baselined: Vec<(Finding, String)>,
-    /// Findings with no matching entry — these fail the run.
-    pub unbaselined: Vec<Finding>,
-    /// Entries matching no finding — these fail the run too.
-    pub stale: Vec<BaselineEntry>,
-}
-
-/// Matches findings against the baseline. One entry may cover several
-/// findings at the same (rule, file, function, detail) key; entries that
-/// cover nothing are stale.
-pub fn apply(findings: Vec<Finding>, entries: &[BaselineEntry]) -> MatchResult {
-    let mut used = vec![false; entries.len()];
-    let mut result = MatchResult::default();
-    for f in findings {
-        let hit = entries.iter().position(|e| {
-            e.rule == f.rule && e.file == f.file && e.function == f.function && e.detail == f.detail
-        });
-        match hit {
-            Some(i) => {
-                used[i] = true;
-                result.baselined.push((f, entries[i].justification.clone()));
-            }
-            None => result.unbaselined.push(f),
-        }
-    }
-    result.stale = entries
-        .iter()
-        .zip(&used)
-        .filter(|(_, &u)| !u)
-        .map(|(e, _)| e.clone())
-        .collect();
-    result
+    Ok(Manifest {
+        ops,
+        baseline: baseline::entries(&tables, &LINT)?,
+    })
 }
 
 #[cfg(test)]
@@ -371,37 +198,5 @@ justification = "cold path, once per thread"
         assert!(parse("[[op]]\nname = \"X::y\"\nclass = \"mostly_fine\"\n").is_err());
         assert!(parse("name = \"orphan\"\n").is_err());
         assert!(parse("[[ops]]\n").is_err());
-    }
-
-    #[test]
-    fn apply_splits_baselined_unbaselined_stale() {
-        let entries = parse(
-            "[[baseline]]\nrule = \"PRG001\"\nfile = \"a.rs\"\nfunction = \"f\"\n\
-             detail = \"self.top\"\njustification = \"known\"\n\
-             [[baseline]]\nrule = \"PRG002\"\nfile = \"b.rs\"\nfunction = \"g\"\n\
-             detail = \"lock\"\njustification = \"stale one\"\n",
-        )
-        .unwrap()
-        .baseline;
-        let f = |rule: &str, file: &str, function: &str, detail: &str| Finding {
-            rule: rule.to_string(),
-            file: file.to_string(),
-            line: 1,
-            function: function.to_string(),
-            detail: detail.to_string(),
-            message: String::new(),
-        };
-        let result = apply(
-            vec![
-                f("PRG001", "a.rs", "f", "self.top"),
-                f("PRG001", "a.rs", "f", "self.top"),
-                f("PRG003", "c.rs", "h", "p"),
-            ],
-            &entries,
-        );
-        assert_eq!(result.baselined.len(), 2, "one entry covers both findings");
-        assert_eq!(result.unbaselined.len(), 1);
-        assert_eq!(result.stale.len(), 1);
-        assert_eq!(result.stale[0].rule, "PRG002");
     }
 }

@@ -1,8 +1,10 @@
 //! Human-readable and JSON rendering of a progress analysis.
 //!
-//! The JSON document reuses `lfrt_bench::json`'s canonical printer, so CI
-//! can archive `progress-report.json` as an artifact and diff it across
-//! commits byte for byte.
+//! The op table and coverage lists are this lint's own; the findings,
+//! stale entries and summary counts come from `lfrt_srcscan::report`,
+//! printed through `lfrt_json`'s canonical printer so CI can archive
+//! `progress-report.json` as an artifact and diff it across commits byte
+//! for byte.
 //!
 //! ```text
 //! {
@@ -22,114 +24,46 @@
 
 use std::fmt::Write as _;
 
-use lfrt_bench::json::Json;
+use lfrt_json::Json;
+use lfrt_srcscan::report::{matched_json, render_matched};
 
-use crate::rules::Finding;
-use crate::Analysis;
-
-fn finding_json(f: &Finding, baselined: bool, justification: Option<&str>) -> Json {
-    let mut fields = vec![
-        ("rule".into(), f.rule.as_str().into()),
-        ("file".into(), f.file.as_str().into()),
-        ("line".into(), f.line.into()),
-        ("function".into(), f.function.as_str().into()),
-        ("detail".into(), f.detail.as_str().into()),
-        ("message".into(), f.message.as_str().into()),
-        ("baselined".into(), baselined.into()),
-    ];
-    if let Some(j) = justification {
-        fields.push(("justification".into(), j.into()));
-    }
-    Json::Obj(fields)
-}
-
-fn str_arr(items: &[String]) -> Json {
-    Json::Arr(items.iter().map(|s| s.as_str().into()).collect())
-}
+use crate::manifest::OpDecl;
+use crate::{Analysis, LINT};
 
 /// The full JSON document for an analysis.
 pub fn to_json(analysis: &Analysis) -> Json {
-    let m = &analysis.matched;
-    let mut findings: Vec<Json> = m
-        .unbaselined
-        .iter()
-        .map(|f| finding_json(f, false, None))
-        .collect();
-    findings.extend(
-        m.baselined
-            .iter()
-            .map(|(f, j)| finding_json(f, true, Some(j))),
-    );
-    Json::Obj(vec![
-        ("schema_version".into(), 1u64.into()),
-        ("root".into(), analysis.root.as_str().into()),
-        ("files_scanned".into(), analysis.files.len().into()),
-        ("functions_scanned".into(), analysis.functions.into()),
-        (
-            "ops".into(),
-            Json::Arr(
-                analysis
-                    .ops
-                    .iter()
-                    .map(|o| {
-                        Json::Obj(vec![
-                            ("name".into(), o.name.as_str().into()),
-                            ("class".into(), o.class.as_str().into()),
-                            ("no_alloc".into(), o.no_alloc.into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "coverage".into(),
-            Json::Obj(vec![
-                ("undeclared".into(), str_arr(&analysis.undeclared)),
-                ("unresolved".into(), str_arr(&analysis.unresolved)),
-            ]),
-        ),
-        ("findings".into(), Json::Arr(findings)),
-        (
-            "stale_baseline".into(),
-            Json::Arr(
-                m.stale
-                    .iter()
-                    .map(|e| {
-                        Json::Obj(vec![
-                            ("rule".into(), e.rule.as_str().into()),
-                            ("file".into(), e.file.as_str().into()),
-                            ("function".into(), e.function.as_str().into()),
-                            ("detail".into(), e.detail.as_str().into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        ("summary".into(), summary_json(analysis)),
-    ])
-}
-
-fn summary_json(analysis: &Analysis) -> Json {
-    let m = &analysis.matched;
-    Json::Obj(vec![
-        ("ops".into(), analysis.ops.len().into()),
-        (
-            "findings".into(),
-            (m.baselined.len() + m.unbaselined.len()).into(),
-        ),
-        ("baselined".into(), m.baselined.len().into()),
-        ("unbaselined".into(), m.unbaselined.len().into()),
-        ("stale".into(), m.stale.len().into()),
-        ("undeclared".into(), analysis.undeclared.len().into()),
-        ("unresolved".into(), analysis.unresolved.len().into()),
-    ])
+    let op = |o: &OpDecl| {
+        Json::obj([
+            ("name", o.name.as_str().into()),
+            ("class", o.class.name().into()),
+            ("no_alloc", o.no_alloc.into()),
+        ])
+    };
+    let coverage = Json::obj([
+        ("undeclared", analysis.undeclared.clone().into()),
+        ("unresolved", analysis.unresolved.clone().into()),
+    ]);
+    let mut doc = vec![
+        ("schema_version", 1u64.into()),
+        ("root", analysis.root.as_str().into()),
+        ("files_scanned", analysis.files.len().into()),
+        ("functions_scanned", analysis.functions.into()),
+        ("ops", Json::Arr(analysis.ops.iter().map(op).collect())),
+        ("coverage", coverage),
+    ];
+    let ops = [("ops", analysis.ops.len())];
+    let uncovered = [
+        ("undeclared", analysis.undeclared.len()),
+        ("unresolved", analysis.unresolved.len()),
+    ];
+    doc.extend(matched_json(&LINT, &analysis.matched, &ops, &uncovered));
+    Json::obj(doc)
 }
 
 /// The human-readable report. `list_ops` additionally dumps the declared
 /// op table.
 pub fn render_text(analysis: &Analysis, list_ops: bool) -> String {
     let mut out = String::new();
-    let m = &analysis.matched;
     let _ = writeln!(
         out,
         "progress: {} files, {} functions, {} declared ops",
@@ -160,37 +94,10 @@ pub fn render_text(analysis: &Analysis, list_ops: bool) -> String {
             "coverage: progress.toml declares `{q}` but no such public fn exists"
         );
     }
-    for f in &m.unbaselined {
-        let _ = writeln!(
-            out,
-            "{}:{}: {} in `{}` [{}]: {}",
-            f.file, f.line, f.rule, f.function, f.detail, f.message
-        );
-    }
-    for (f, justification) in &m.baselined {
-        let _ = writeln!(
-            out,
-            "{}:{}: {} baselined: {}",
-            f.file, f.line, f.rule, justification
-        );
-    }
-    for e in &m.stale {
-        let _ = writeln!(
-            out,
-            "progress.toml:{}: stale [[baseline]] entry ({} {} `{}` `{}`) matches no \
-             finding — remove it",
-            e.line, e.rule, e.file, e.function, e.detail
-        );
-    }
+    render_matched(&mut out, &LINT, &analysis.matched);
     let _ = writeln!(
         out,
-        "{} finding(s): {} baselined, {} unbaselined; {} stale baseline entr{}; \
-         {} undeclared, {} unresolved op(s)",
-        m.baselined.len() + m.unbaselined.len(),
-        m.baselined.len(),
-        m.unbaselined.len(),
-        m.stale.len(),
-        if m.stale.len() == 1 { "y" } else { "ies" },
+        "; {} undeclared, {} unresolved op(s)",
         analysis.undeclared.len(),
         analysis.unresolved.len(),
     );
@@ -200,9 +107,5 @@ pub fn render_text(analysis: &Analysis, list_ops: bool) -> String {
 /// Exit status for the run: success only when nothing is unbaselined,
 /// nothing is stale, and the manifest covers the public API exactly.
 pub fn is_clean(analysis: &Analysis) -> bool {
-    let m = &analysis.matched;
-    m.unbaselined.is_empty()
-        && m.stale.is_empty()
-        && analysis.undeclared.is_empty()
-        && analysis.unresolved.is_empty()
+    analysis.matched.is_clean() && analysis.undeclared.is_empty() && analysis.unresolved.is_empty()
 }

@@ -34,6 +34,28 @@ pub struct Finding {
     pub message: String,
 }
 
+impl std::fmt::Display for Finding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{}:{}: {} in `{}` [{}]: {}",
+            self.file, self.line, self.rule, self.function, self.detail, self.message
+        )
+    }
+}
+
+impl lfrt_srcscan::baseline::Finding for Finding {
+    fn key(&self) -> [&str; 4] {
+        [&self.rule, &self.file, &self.function, &self.detail]
+    }
+    fn line(&self) -> usize {
+        self.line
+    }
+    fn message(&self) -> &str {
+        &self.message
+    }
+}
+
 /// Context shared by all rules: the flat function list, which file each
 /// function is in, and per-function line lookup.
 pub struct Ctx<'a> {

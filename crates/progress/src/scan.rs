@@ -1,15 +1,19 @@
-//! Function extraction and per-body feature scanning.
+//! Per-body feature scanning.
 //!
-//! One pass over each cleaned file recovers the item structure the rules
-//! need: every function body with its impl-qualified name (`Type::method`)
-//! and visibility, plus the lexical features inside each body — call
-//! sites, loops, CAS sites, backoff pacing, blocking/allocation tokens,
-//! `defer_destroy` sites, and epoch-guard bindings with their taint and
-//! escapes. Like `ordlint`, everything runs on blanked text
-//! (`lfrt_srcscan::source`) so strings and comments can't fake a site,
-//! and `#[cfg(test)]` items are skipped entirely.
+//! `lfrt_srcscan::items` recovers the item structure the rules need —
+//! every function body with its impl-qualified name (`Type::method`) and
+//! visibility, `#[cfg(test)]` items skipped; this module adds the lexical
+//! features inside each body: call sites, loops, CAS sites, backoff
+//! pacing, blocking/allocation tokens, `defer_destroy` sites, and
+//! epoch-guard bindings with their taint and escapes. Like `ordlint`,
+//! everything runs on blanked text (`lfrt_srcscan::source`) so strings
+//! and comments can't fake a site.
 
-use lfrt_srcscan::lex::{is_ident_char, matching, matching_back, prev_sig, receiver_chain};
+use lfrt_srcscan::items::{scan_items, FnItem};
+use lfrt_srcscan::lex::{
+    find_word, is_ident_char, leading_ident, matching, matching_back, prev_sig, receiver_chain,
+    skip_ws, words,
+};
 use lfrt_srcscan::source::SourceFile;
 
 /// How a call site names its callee — drives resolution precedence in
@@ -51,6 +55,15 @@ pub struct TokenSite {
     pub offset: usize,
 }
 
+impl TokenSite {
+    fn new(token: impl Into<String>, offset: usize) -> Self {
+        Self {
+            token: token.into(),
+            offset,
+        }
+    }
+}
+
 /// A `compare_exchange[_weak]` call site.
 #[derive(Debug, Clone)]
 pub struct CasSite {
@@ -74,21 +87,11 @@ pub struct LoopInfo {
 }
 
 /// One scanned function with everything the rules consume.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FnInfo {
-    /// Qualified name: `Type::name` inside an impl/trait block, bare name
-    /// for free fns.
-    pub qname: String,
-    /// Bare name.
-    pub name: String,
-    /// Whether the fn is `pub` (not `pub(crate)`/`pub(super)`).
-    pub is_pub: bool,
-    /// Whether the fn is defined inside an impl or trait block.
-    pub is_method: bool,
-    /// 1-based line of the body's opening brace.
-    pub line: usize,
-    /// Half-open byte range of the body (including braces).
-    pub span: (usize, usize),
+    /// The function item (also reachable through `Deref`): bare and
+    /// impl-qualified name, visibility, body span, line.
+    pub item: FnItem,
     /// Call sites, in source order.
     pub calls: Vec<Call>,
     /// `loop`/`while` constructs.
@@ -155,240 +158,45 @@ const KEYWORDS: [&str; 25] = [
     "static", "await",
 ];
 
-/// Scans one cleaned file into its function inventory.
+/// Scans one cleaned file into its function inventory: the function items
+/// from `lfrt_srcscan::items` (impl-qualified names, visibility,
+/// `#[cfg(test)]` skipping), each with its body features.
 pub fn scan_file(sf: &SourceFile) -> Vec<FnInfo> {
-    let spans = fn_spans(sf);
-    spans
-        .into_iter()
-        .map(|s| {
-            let mut info = FnInfo {
-                qname: s.qname,
-                name: s.name,
-                is_pub: s.is_pub,
-                is_method: s.is_method,
-                line: sf.line_of(s.start),
-                span: (s.start, s.end),
-                calls: Vec::new(),
-                loops: Vec::new(),
-                blocking: Vec::new(),
-                allocs: Vec::new(),
-                pacing: Vec::new(),
-                defers: Vec::new(),
-                cas: Vec::new(),
-                guard_escapes: Vec::new(),
-            };
-            scan_body(sf, &mut info);
-            guard_escapes(sf, &mut info);
-            info
-        })
-        .collect()
+    let items = scan_items(sf).fns.into_iter();
+    let mut fns: Vec<FnInfo> = items.map(FnInfo::from).collect();
+    for info in &mut fns {
+        scan_body(sf, info);
+        guard_escapes(sf, info);
+    }
+    fns
 }
 
-struct RawSpan {
-    qname: String,
-    name: String,
-    is_pub: bool,
-    is_method: bool,
-    start: usize,
-    end: usize,
+impl From<FnItem> for FnInfo {
+    fn from(item: FnItem) -> Self {
+        Self {
+            item,
+            ..Self::default()
+        }
+    }
 }
 
-/// First pass: function body spans with impl-qualified names, visibility,
-/// and `#[cfg(test)]` skipping. Nested fns get the innermost enclosing
-/// impl's qualification (same as their parent).
-fn fn_spans(sf: &SourceFile) -> Vec<RawSpan> {
-    let bytes = sf.clean.as_bytes();
-    let mut out = Vec::new();
-    // (qname, name, is_pub, is_method, depth, start)
-    let mut fn_stack: Vec<(String, String, bool, bool, usize, usize)> = Vec::new();
-    let mut impl_stack: Vec<(String, usize)> = Vec::new();
-    let mut pending_fn: Option<(String, bool)> = None;
-    let mut pending_impl: Option<String> = None;
-    let mut awaiting_fn_name = false;
-    let mut item_pub = false;
-    let mut skip_pending = false;
-    let mut skip_depth: Option<usize> = None;
-    let mut depth = 0usize;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b'{' => {
-                depth += 1;
-                let fn_pending = pending_fn.take();
-                let impl_pending = pending_impl.take();
-                if skip_pending {
-                    skip_pending = false;
-                    skip_depth = Some(depth);
-                } else if let Some((name, is_pub)) = fn_pending {
-                    let (qname, is_method) = match impl_stack.last() {
-                        Some((ty, _)) => (format!("{ty}::{name}"), true),
-                        None => (name.clone(), false),
-                    };
-                    fn_stack.push((qname, name, is_pub, is_method, depth, i));
-                } else if let Some(ty) = impl_pending {
-                    impl_stack.push((ty, depth));
-                }
-                item_pub = false;
-                i += 1;
-            }
-            b'}' => {
-                if let Some((qname, name, is_pub, is_method, d, start)) = fn_stack.last().cloned() {
-                    if d == depth {
-                        fn_stack.pop();
-                        if skip_depth.is_none() {
-                            out.push(RawSpan {
-                                qname,
-                                name,
-                                is_pub,
-                                is_method,
-                                start,
-                                end: i + 1,
-                            });
-                        }
-                    }
-                }
-                if impl_stack.last().is_some_and(|&(_, d)| d == depth) {
-                    impl_stack.pop();
-                }
-                if skip_depth == Some(depth) {
-                    skip_depth = None;
-                }
-                depth = depth.saturating_sub(1);
-                item_pub = false;
-                i += 1;
-            }
-            b';' => {
-                // A trait method declaration (or `impl Trait for X;`-style
-                // nonsense) ends without a body.
-                pending_fn = None;
-                item_pub = false;
-                i += 1;
-            }
-            b'#' if sf.clean[i..].starts_with("#[cfg(test)]") && skip_depth.is_none() => {
-                skip_pending = true;
-                i += "#[cfg(test)]".len();
-            }
-            _ if is_ident_char(b) && (i == 0 || !is_ident_char(bytes[i - 1])) => {
-                let start = i;
-                while i < bytes.len() && is_ident_char(bytes[i]) {
-                    i += 1;
-                }
-                let word = &sf.clean[start..i];
-                if awaiting_fn_name {
-                    awaiting_fn_name = false;
-                    pending_fn = Some((word.to_string(), item_pub));
-                    item_pub = false;
-                    continue;
-                }
-                match word {
-                    "fn" => awaiting_fn_name = true,
-                    "pub" => {
-                        // `pub(crate)`/`pub(super)` are not public API.
-                        let mut j = i;
-                        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                            j += 1;
-                        }
-                        item_pub = bytes.get(j) != Some(&b'(');
-                    }
-                    // A return-position/argument-position `impl Trait`
-                    // appears only after `fn name` is pending; the guard
-                    // below keeps it from opening a phantom impl block.
-                    "impl" | "trait" if pending_fn.is_none() && skip_depth.is_none() => {
-                        pending_impl = impl_type(&sf.clean[i..]);
-                    }
-                    _ => {}
-                }
-            }
-            _ => i += 1,
-        }
+impl std::ops::Deref for FnInfo {
+    type Target = FnItem;
+    fn deref(&self) -> &FnItem {
+        &self.item
     }
-    out
-}
-
-/// Extracts the implemented type's name from an impl/trait header (the
-/// text after the keyword, up to the body brace): the last path segment of
-/// the type after a top-level `for` (if any), generics stripped.
-/// `impl<T: Send> ConcurrentQueue<T> for LockedQueue<T>` → `LockedQueue`;
-/// `impl fmt::Debug for NbwWriter<T>` → `NbwWriter`; `trait Queue<T>` →
-/// `Queue`.
-fn impl_type(after_kw: &str) -> Option<String> {
-    let header_end = after_kw.find('{').unwrap_or(after_kw.len());
-    let mut s = after_kw[..header_end].trim();
-    // Leading generic parameters.
-    if let Some(rest) = s.strip_prefix('<') {
-        let mut d = 1usize;
-        let mut cut = rest.len();
-        for (k, c) in rest.char_indices() {
-            match c {
-                '<' => d += 1,
-                '>' => {
-                    d -= 1;
-                    if d == 0 {
-                        cut = k + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        s = rest[cut..].trim_start();
-    }
-    // A top-level ` for ` splits trait from implementing type.
-    let bytes = s.as_bytes();
-    let mut d = 0usize;
-    let mut k = 0usize;
-    while k < bytes.len() {
-        match bytes[k] {
-            b'<' => d += 1,
-            b'>' => d = d.saturating_sub(1),
-            b'f' if d == 0
-                && s[k..].starts_with("for")
-                && (k == 0 || !is_ident_char(bytes[k - 1]))
-                && !is_ident_char(*bytes.get(k + 3).unwrap_or(&b' ')) =>
-            {
-                s = s[k + 3..].trim_start();
-                break;
-            }
-            _ => {}
-        }
-        k += 1;
-    }
-    // Trailing where clause, bounds, generics.
-    let s = s.split("where").next().unwrap_or(s).trim();
-    let s = s.split(':').next().unwrap_or(s).trim();
-    let base = s.split('<').next().unwrap_or(s).trim();
-    let name = base
-        .rsplit("::")
-        .next()
-        .unwrap_or(base)
-        .trim_start_matches('&')
-        .trim_start_matches("mut ")
-        .trim();
-    if name.is_empty() || !name.bytes().all(is_ident_char) {
-        return None;
-    }
-    Some(name.to_string())
 }
 
 /// Second pass over one body: calls, loops, and token features.
 fn scan_body(sf: &SourceFile, info: &mut FnInfo) {
     let clean = &sf.clean;
     let bytes = clean.as_bytes();
-    let (body_start, body_end) = info.span;
-    let mut i = body_start + 1;
-    let mut last_word = String::new();
-    while i < body_end.saturating_sub(1) {
-        let b = bytes[i];
-        if !(is_ident_char(b) && (i == 0 || !is_ident_char(bytes[i - 1]))) {
-            i += 1;
-            continue;
-        }
-        let start = i;
-        while i < body_end && is_ident_char(bytes[i]) {
-            i += 1;
-        }
-        let word = &clean[start..i];
+    let (body_start, body_end) = (info.start, info.end);
+    let inside = body_start + 1;
+    let mut last_word = "";
+    for (at, word) in words(&clean[inside..body_end - 1]) {
+        let (start, i) = (inside + at, inside + at + word.len());
+        let after_fn = std::mem::replace(&mut last_word, word) == "fn";
         // Loops.
         if word == "loop" || word == "while" {
             if let Some(open) = loop_body_brace(bytes, clean, i, body_end) {
@@ -400,53 +208,40 @@ fn scan_body(sf: &SourceFile, info: &mut FnInfo) {
                     });
                 }
             }
-            last_word = word.to_string();
             continue;
         }
         // Macros: `name!(...)` — only the allocating ones matter.
         if bytes.get(i) == Some(&b'!') {
             if ALLOC_MACROS.contains(&word) {
-                info.allocs.push(TokenSite {
-                    token: format!("{word}!"),
-                    offset: start,
-                });
+                info.allocs.push(TokenSite::new(format!("{word}!"), start));
             }
-            last_word = word.to_string();
             continue;
         }
         // Call sites: identifier (+ optional turbofish) followed by `(`,
         // not a keyword, not a definition (`fn name(`).
-        let mut k = i;
-        while k < body_end && bytes[k].is_ascii_whitespace() {
-            k += 1;
-        }
+        let mut k = skip_ws(bytes, i, body_end);
         if clean[k..].starts_with("::<") {
             if let Some(close) = matching(&bytes[..body_end], k + 2, b'<', b'>') {
-                k = close + 1;
-                while k < body_end && bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
+                k = skip_ws(bytes, close + 1, body_end);
             }
         }
-        let is_call = bytes.get(k) == Some(&b'(') && !KEYWORDS.contains(&word) && last_word != "fn";
+        let is_call = bytes.get(k) == Some(&b'(') && !KEYWORDS.contains(&word) && !after_fn;
         if is_call {
             let prev = prev_sig(bytes, start);
             let (style, qualifier) = if prev == Some(b'.') {
-                if self_receiver(bytes, start) {
+                // Exactly `self.m(...)`, not `self.field.m(...)`.
+                if receiver_chain(clean, start).0 == "self" {
                     (CallStyle::SelfMethod, None)
                 } else {
                     (CallStyle::Method, None)
                 }
-            } else if path_qualified(bytes, start) {
+            } else if bytes[..start].ends_with(b"::") {
                 (CallStyle::Path, path_qualifier(clean, start))
             } else {
                 (CallStyle::Bare, None)
             };
             if BLOCKING_CALLS.contains(&word) {
-                info.blocking.push(TokenSite {
-                    token: word.to_string(),
-                    offset: start,
-                });
+                info.blocking.push(TokenSite::new(word, start));
             }
             if word == "compare_exchange" || word == "compare_exchange_weak" {
                 let receiver = if style == CallStyle::Method || style == CallStyle::SelfMethod {
@@ -463,10 +258,7 @@ fn scan_body(sf: &SourceFile, info: &mut FnInfo) {
                 info.pacing.push(start);
             }
             if word == "defer_destroy" || word == "defer_recycle" {
-                info.defers.push(TokenSite {
-                    token: word.to_string(),
-                    offset: start,
-                });
+                info.defers.push(TokenSite::new(word, start));
             }
             let is_alloc = match style {
                 CallStyle::Path => qualifier
@@ -480,10 +272,7 @@ fn scan_body(sf: &SourceFile, info: &mut FnInfo) {
                     Some(q) => format!("{q}::{word}"),
                     None => format!(".{word}()"),
                 };
-                info.allocs.push(TokenSite {
-                    token,
-                    offset: start,
-                });
+                info.allocs.push(TokenSite::new(token, start));
             }
             info.calls.push(Call {
                 name: word.to_string(),
@@ -492,14 +281,7 @@ fn scan_body(sf: &SourceFile, info: &mut FnInfo) {
                 offset: start,
             });
         }
-        last_word = word.to_string();
     }
-}
-
-/// The next `{` at or after `from` (skipping everything else — `while`
-/// conditions cannot contain a bare block).
-fn next_brace(bytes: &[u8], from: usize, end: usize) -> Option<usize> {
-    (from..end).find(|&k| bytes[k] == b'{')
 }
 
 /// The opening brace of a `loop`/`while` body, searching from just past
@@ -511,56 +293,15 @@ fn next_brace(bytes: &[u8], from: usize, end: usize) -> Option<usize> {
 fn loop_body_brace(bytes: &[u8], clean: &str, from: usize, end: usize) -> Option<usize> {
     let mut from = from;
     loop {
-        let open = next_brace(bytes, from, end)?;
-        if prev_word(clean, open) == Some("unsafe") {
+        // The next `{`: `while` conditions cannot contain a bare block.
+        let open = (from..end).find(|&k| bytes[k] == b'{')?;
+        let before = clean[..open].trim_end().strip_suffix("unsafe");
+        if before.is_some_and(|b| !b.bytes().last().is_some_and(is_ident_char)) {
             from = matching(bytes, open, b'{', b'}')? + 1;
             continue;
         }
         return Some(open);
     }
-}
-
-/// The identifier immediately (modulo whitespace) before `offset`, if any.
-fn prev_word(clean: &str, offset: usize) -> Option<&str> {
-    let bytes = clean.as_bytes();
-    let mut i = offset;
-    while i > 0 && bytes[i - 1].is_ascii_whitespace() {
-        i -= 1;
-    }
-    let end = i;
-    while i > 0 && is_ident_char(bytes[i - 1]) {
-        i -= 1;
-    }
-    (i < end).then(|| &clean[i..end])
-}
-
-/// Whether the method call at `name_start` has exactly `self` as its
-/// receiver (`self.m(...)`, not `self.field.m(...)`).
-fn self_receiver(bytes: &[u8], name_start: usize) -> bool {
-    let mut i = name_start;
-    while i > 0 && bytes[i - 1].is_ascii_whitespace() {
-        i -= 1;
-    }
-    if i == 0 || bytes[i - 1] != b'.' {
-        return false;
-    }
-    i -= 1;
-    while i > 0 && bytes[i - 1].is_ascii_whitespace() {
-        i -= 1;
-    }
-    if i < 4 || &bytes[i - 4..i] != b"self" {
-        return false;
-    }
-    let before = i - 4;
-    if before > 0 && (is_ident_char(bytes[before - 1]) || bytes[before - 1] == b'.') {
-        return false;
-    }
-    true
-}
-
-/// Whether the call at `name_start` is `Qualifier::name(...)`.
-fn path_qualified(bytes: &[u8], name_start: usize) -> bool {
-    name_start >= 2 && &bytes[name_start - 2..name_start] == b"::"
 }
 
 /// The immediate qualifier of a path call: the path segment right before
@@ -594,7 +335,7 @@ fn path_qualifier(clean: &str, name_start: usize) -> Option<String> {
 fn guard_escapes(sf: &SourceFile, info: &mut FnInfo) {
     let clean = &sf.clean;
     let bytes = clean.as_bytes();
-    let (body_start, body_end) = info.span;
+    let (body_start, body_end) = (info.start, info.end);
     let pins: Vec<usize> = info
         .calls
         .iter()
@@ -611,7 +352,7 @@ fn guard_escapes(sf: &SourceFile, info: &mut FnInfo) {
         // ...shortened by an explicit `drop(guard)`.
         for c in &info.calls {
             if c.name == "drop" && c.style == CallStyle::Bare && c.offset > pin_offset {
-                if let Some(open) = next_paren(bytes, c.offset, body_end) {
+                if let Some(open) = (c.offset..body_end).find(|&k| bytes[k] == b'(') {
                     if let Some(close) = matching(bytes, open, b'(', b')') {
                         if clean[open + 1..close].trim() == guard && close < scope_end {
                             scope_end = close + 1;
@@ -636,10 +377,7 @@ fn guard_escapes(sf: &SourceFile, info: &mut FnInfo) {
         // Escapes: any word-use of a tainted identifier after the scope.
         for t in &tainted {
             for esc in word_occurrences(clean, t, scope_end, body_end) {
-                info.guard_escapes.push(TokenSite {
-                    token: t.clone(),
-                    offset: esc,
-                });
+                info.guard_escapes.push(TokenSite::new(t, esc));
             }
         }
     }
@@ -666,42 +404,26 @@ fn let_binding_ident(clean: &str, stmt: usize, limit: usize) -> Option<String> {
     }
     let rest = rest.trim_start();
     let rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
-    let ident: String = rest
-        .bytes()
-        .take_while(|&b| is_ident_char(b))
-        .map(|b| b as char)
-        .collect();
+    let ident = leading_ident(rest);
     if ident.is_empty() {
         return None;
     }
     let after = rest[ident.len()..].trim_start();
     // Plain binding only: `=` (type-ascribed or not), never `(`/`{` of a
     // destructuring pattern like `let Some(x) =`.
-    if after.starts_with('=') || after.starts_with(':') {
-        Some(ident)
-    } else {
-        None
-    }
+    (after.starts_with('=') || after.starts_with(':')).then_some(ident)
 }
 
 /// If the statement starting at `stmt` is `IDENT = ...` (simple
 /// assignment, not `==`), the identifier.
 fn assignment_ident(clean: &str, stmt: usize, limit: usize) -> Option<String> {
     let s = clean[stmt..limit].trim_start();
-    let ident: String = s
-        .bytes()
-        .take_while(|&b| is_ident_char(b))
-        .map(|b| b as char)
-        .collect();
+    let ident = leading_ident(s);
     if ident.is_empty() || ident == "let" {
         return None;
     }
     let after = s[ident.len()..].trim_start();
-    if after.starts_with('=') && !after.starts_with("==") {
-        Some(ident)
-    } else {
-        None
-    }
+    (after.starts_with('=') && !after.starts_with("==")).then_some(ident)
 }
 
 /// Byte offset just past the closing brace of the innermost block
@@ -726,28 +448,14 @@ fn enclosing_block_end(bytes: &[u8], body_start: usize, body_end: usize, offset:
     matching(bytes, innermost_open, b'{', b'}').map_or(body_end, |c| c + 1)
 }
 
-fn next_paren(bytes: &[u8], from: usize, end: usize) -> Option<usize> {
-    (from..end).find(|&k| bytes[k] == b'(')
-}
-
 /// Word-boundary occurrences of `ident` in `clean[from..to]`.
 fn word_occurrences(clean: &str, ident: &str, from: usize, to: usize) -> Vec<usize> {
-    let bytes = clean.as_bytes();
+    let text = &clean[..to.min(clean.len())];
     let mut out = Vec::new();
-    let to = to.min(clean.len());
-    if from >= to {
-        return out;
-    }
     let mut search = from;
-    while let Some(pos) = clean[search..to].find(ident) {
-        let at = search + pos;
-        let before_ok = at == 0 || !is_ident_char(bytes[at - 1]);
-        let after = at + ident.len();
-        let after_ok = after >= bytes.len() || !is_ident_char(bytes[after]);
-        if before_ok && after_ok {
-            out.push(at);
-        }
-        search = at + ident.len().max(1);
+    while let Some(at) = find_word(text, ident, search) {
+        out.push(at);
+        search = at + ident.len();
     }
     out
 }
@@ -758,35 +466,6 @@ mod tests {
 
     fn scan(src: &str) -> Vec<FnInfo> {
         scan_file(&SourceFile::new("t.rs", src))
-    }
-
-    #[test]
-    fn qualifies_methods_with_their_impl_type() {
-        let src = "
-pub struct S;
-impl S {
-    pub fn op(&self) { self.helper(); }
-    fn helper(&self) {}
-}
-impl<T: Send> Default for Q<T> {
-    fn default() -> Self { Q::new() }
-}
-fn free() {}
-";
-        let fns = scan(src);
-        let names: Vec<(&str, bool, bool)> = fns
-            .iter()
-            .map(|f| (f.qname.as_str(), f.is_pub, f.is_method))
-            .collect();
-        assert_eq!(
-            names,
-            [
-                ("S::op", true, true),
-                ("S::helper", false, true),
-                ("Q::default", false, true),
-                ("free", false, false),
-            ]
-        );
     }
 
     #[test]
@@ -935,32 +614,5 @@ impl S {
             "{:?}",
             fns[2].guard_escapes
         );
-    }
-
-    #[test]
-    fn cfg_test_functions_are_skipped() {
-        let src = "
-fn real() {}
-#[cfg(test)]
-mod tests {
-    fn fake() { x.lock(); }
-}
-";
-        let fns = scan(src);
-        assert_eq!(fns.len(), 1);
-        assert_eq!(fns[0].qname, "real");
-    }
-
-    #[test]
-    fn return_position_impl_trait_does_not_open_an_impl_block() {
-        let src = "
-fn make() -> impl Iterator<Item = u64> {
-    (0..3).map(|x| x)
-}
-fn after() {}
-";
-        let fns = scan(src);
-        let names: Vec<&str> = fns.iter().map(|f| f.qname.as_str()).collect();
-        assert_eq!(names, ["make", "after"]);
     }
 }

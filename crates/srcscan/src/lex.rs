@@ -10,6 +10,49 @@ pub fn is_ident_char(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
+/// Every identifier-like word of `text` (maximal runs of identifier
+/// characters, so keywords and numbers too) with its byte offset, in order.
+pub fn words(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    let bytes = text.as_bytes();
+    let mut i = 0;
+    std::iter::from_fn(move || {
+        while i < bytes.len() && !is_ident_char(bytes[i]) {
+            i += 1;
+        }
+        let start = i;
+        while i < bytes.len() && is_ident_char(bytes[i]) {
+            i += 1;
+        }
+        (start < i).then(|| (start, &text[start..i]))
+    })
+}
+
+/// First occurrence of `word` as a whole identifier (not a substring of a
+/// longer one) in `text` at or after byte `from`.
+pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
+    let bytes = text.as_bytes();
+    let mut search = from;
+    while !word.is_empty() {
+        let at = search + text.get(search..)?.find(word)?;
+        let end = at + word.len();
+        let starts = at == 0 || !is_ident_char(bytes[at - 1]);
+        if starts && (end == bytes.len() || !is_ident_char(bytes[end])) {
+            return Some(at);
+        }
+        search = at + 1;
+    }
+    None
+}
+
+/// The first offset at or after `i` (and below `end`) that is not
+/// whitespace, or `end`.
+pub fn skip_ws(bytes: &[u8], mut i: usize, end: usize) -> usize {
+    while i < end && bytes[i].is_ascii_whitespace() {
+        i += 1;
+    }
+    i
+}
+
 /// The last non-whitespace byte before `pos`.
 pub fn prev_sig(bytes: &[u8], pos: usize) -> Option<u8> {
     bytes[..pos]
@@ -173,6 +216,24 @@ mod tests {
         let bytes = b"a(b(c)d)e";
         assert_eq!(matching(bytes, 1, b'(', b')'), Some(7));
         assert_eq!(matching_back(bytes, 7, b'(', b')'), Some(1));
+    }
+
+    #[test]
+    fn words_carry_their_offsets() {
+        let found: Vec<(usize, &str)> = words("a.load(Acquire, g2) ").collect();
+        assert_eq!(found, [(0, "a"), (2, "load"), (7, "Acquire"), (16, "g2")]);
+        assert_eq!(words(" .. ").count(), 0);
+    }
+
+    #[test]
+    fn find_word_needs_identifier_boundaries() {
+        let text = "renewal new e.new new_x (new)";
+        assert_eq!(find_word(text, "new", 0), Some(8));
+        assert_eq!(find_word(text, "new", 9), Some(14));
+        assert_eq!(find_word(text, "new", 15), Some(25));
+        assert_eq!(find_word(text, "new", 26), None);
+        assert_eq!(find_word(text, "", 0), None);
+        assert_eq!(find_word(text, "new", text.len() + 1), None);
     }
 
     #[test]

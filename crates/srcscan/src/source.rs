@@ -79,7 +79,7 @@ enum State {
 pub fn blank(src: &str) -> String {
     let mut out = Vec::with_capacity(src.len());
     let mut state = State::Normal;
-    let chars: Vec<(usize, char)> = src.char_indices().collect();
+    let chars: Vec<char> = src.chars().collect();
     let mut i = 0;
     // Emits `ch` either verbatim or as an equal number of spaces.
     fn emit(out: &mut Vec<u8>, ch: char, keep: bool) {
@@ -91,8 +91,8 @@ pub fn blank(src: &str) -> String {
         }
     }
     while i < chars.len() {
-        let (_, ch) = chars[i];
-        let next = chars.get(i + 1).map(|&(_, c)| c);
+        let ch = chars[i];
+        let next = chars.get(i + 1).copied();
         match state {
             State::Normal => match ch {
                 '/' if next == Some('/') => {
@@ -115,19 +115,19 @@ pub fn blank(src: &str) -> String {
                     // opens an ordinary (escape-processing) string body.
                     let mut j = i + 1;
                     let mut is_raw = ch == 'r';
-                    if ch == 'b' && chars.get(j).map(|&(_, c)| c) == Some('r') {
+                    if ch == 'b' && chars.get(j).copied() == Some('r') {
                         is_raw = true;
                         j += 1;
                     }
                     let mut hashes = 0;
                     if is_raw {
-                        while chars.get(j).map(|&(_, c)| c) == Some('#') {
+                        while chars.get(j).copied() == Some('#') {
                             hashes += 1;
                             j += 1;
                         }
                     }
-                    if chars.get(j).map(|&(_, c)| c) == Some('"') {
-                        for &(_, c) in &chars[i..=j] {
+                    if chars.get(j).copied() == Some('"') {
+                        for &c in &chars[i..=j] {
                             emit(&mut out, c, false);
                         }
                         i = j;
@@ -136,7 +136,7 @@ pub fn blank(src: &str) -> String {
                         } else {
                             State::Str
                         };
-                    } else if ch == 'b' && chars.get(i + 1).map(|&(_, c)| c) == Some('\'') {
+                    } else if ch == 'b' && chars.get(i + 1).copied() == Some('\'') {
                         emit(&mut out, ch, false);
                         emit(&mut out, '\'', false);
                         i += 1;
@@ -148,8 +148,7 @@ pub fn blank(src: &str) -> String {
                 '\'' => {
                     // Char literal vs lifetime: a literal is '<escape>' or
                     // '<char>' (closing quote two ahead); otherwise 'ident.
-                    let is_literal =
-                        next == Some('\\') || chars.get(i + 2).map(|&(_, c)| c) == Some('\'');
+                    let is_literal = next == Some('\\') || chars.get(i + 2).copied() == Some('\'');
                     if is_literal && !prev_is_ident(&chars, i) {
                         state = State::CharLit;
                         emit(&mut out, ch, false);
@@ -200,8 +199,8 @@ pub fn blank(src: &str) -> String {
             }
             State::RawStr(hashes) => {
                 if ch == '"' {
-                    let closed = (1..=hashes as usize)
-                        .all(|k| chars.get(i + k).map(|&(_, c)| c) == Some('#'));
+                    let closed =
+                        (1..=hashes as usize).all(|k| chars.get(i + k).copied() == Some('#'));
                     emit(&mut out, ch, false);
                     if closed {
                         for _ in 0..hashes {
@@ -234,11 +233,8 @@ pub fn blank(src: &str) -> String {
     String::from_utf8(out).expect("blanking only replaces chars with ASCII spaces")
 }
 
-fn prev_is_ident(chars: &[(usize, char)], i: usize) -> bool {
-    i > 0 && {
-        let c = chars[i - 1].1;
-        c.is_alphanumeric() || c == '_'
-    }
+fn prev_is_ident(chars: &[char], i: usize) -> bool {
+    i > 0 && (chars[i - 1].is_alphanumeric() || chars[i - 1] == '_')
 }
 
 #[cfg(test)]

@@ -51,31 +51,25 @@ pub fn load_files(root: &Path, paths: Vec<PathBuf>) -> io::Result<Vec<SourceFile
     Ok(files)
 }
 
-/// Loads every `.rs` file under each of `dirs` (skipping directories that
-/// do not exist), with paths relative to `root`.
+/// Loads every source file under `root`, with paths relative to it.
+///
+/// A workspace checkout (a `crates/` directory exists) is scanned through
+/// the lint's `workspace_dirs`, skipping directories that do not exist;
+/// any other root — a fixture directory in tests — is walked recursively
+/// for `.rs` files.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors from the walk and file reads.
-pub fn collect_dirs(root: &Path, dirs: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
+pub fn collect_sources(root: &Path, workspace_dirs: &[PathBuf]) -> io::Result<Vec<SourceFile>> {
     let mut paths = Vec::new();
-    for dir in dirs {
-        if dir.is_dir() {
+    if root.join("crates").is_dir() {
+        for dir in workspace_dirs.iter().filter(|d| d.is_dir()) {
             walk_rs(dir, &mut paths)?;
         }
+    } else {
+        walk_rs(root, &mut paths)?;
     }
-    load_files(root, paths)
-}
-
-/// Loads every `.rs` file under `root` recursively — the fixture-directory
-/// mode of both checkers.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the walk and file reads.
-pub fn collect_recursive(root: &Path) -> io::Result<Vec<SourceFile>> {
-    let mut paths = Vec::new();
-    walk_rs(root, &mut paths)?;
     load_files(root, paths)
 }
 
@@ -84,9 +78,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn missing_dirs_are_skipped_not_errors() {
-        let missing = PathBuf::from("/definitely/not/a/real/dir");
-        let files = collect_dirs(Path::new("/"), &[missing]).unwrap();
+    fn missing_workspace_dirs_are_skipped_not_errors() {
+        let workspace = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let missing = workspace.join("definitely/not/a/real/dir");
+        let files = collect_sources(&workspace, &[missing]).unwrap();
         assert!(files.is_empty());
+    }
+
+    #[test]
+    fn a_root_without_crates_is_walked_recursively() {
+        let here = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let files = collect_sources(&here, &[]).unwrap();
+        assert!(files.iter().any(|f| f.rel_path == "walk.rs"));
     }
 }
