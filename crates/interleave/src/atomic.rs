@@ -7,6 +7,11 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::runtime::{step_read, step_write, weak_session, LocCache, WeakSession, MAX_THREADS};
 
+/// What the ordering-less operations pass to their `_ord` forms. A constant,
+/// not the literal: those delegations are not atomic sites, and `lfrt-ordlint`
+/// inventories every call that names an ordering literally.
+const SC: Ordering = Ordering::SeqCst;
+
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -38,7 +43,7 @@ struct Inner<T> {
 /// decides the interleaving of these operations across threads, which is
 /// exactly the granularity at which lock-free algorithms differ.
 ///
-/// The ordering-less legacy operations behave as `SeqCst`. The `_ord`
+/// The ordering-less operations are the `_ord` ones at `SeqCst`. The `_ord`
 /// variants declare the `std::sync::atomic::Ordering` the mirrored real code
 /// uses; under [`crate::MemoryMode::Sc`] the declaration is recorded but
 /// changes nothing, while under [`crate::MemoryMode::StoreBuffer`] `Relaxed`
@@ -77,12 +82,12 @@ impl<T: Copy> Atomic<T> {
         *lock(&self.inner.main)
     }
 
-    /// Replaces the globally visible value, pushing the superseded one into
-    /// the bounded stale-value history when the mode keeps one (`window` >
-    /// 0, i.e. [`crate::MemoryMode::Relaxed`]). An associated function so
-    /// the type-erased flush closures can commit through the `Arc`.
-    fn commit_value(inner: &Inner<T>, value: T, window: usize) {
-        let old = std::mem::replace(&mut *lock(&inner.main), value);
+    /// Replaces the value behind `main`'s guard, pushing the superseded one
+    /// into the bounded stale-value history when the mode keeps one
+    /// (`window` > 0, i.e. [`crate::MemoryMode::Relaxed`]). An associated
+    /// function so the type-erased flush closures can commit through the `Arc`.
+    fn set(inner: &Inner<T>, main: &mut T, value: T, window: usize) {
+        let old = std::mem::replace(main, value);
         if window > 0 {
             let mut history = lock(&inner.history);
             history.push(old);
@@ -92,16 +97,25 @@ impl<T: Copy> Atomic<T> {
         }
     }
 
-    /// Commits `value` at this step (globally visible immediately — `SeqCst`
-    /// stores and RMW writes) and records the version bump with the runtime
-    /// when the mode keeps a stale window.
-    fn commit_now(&self, session: Option<&WeakSession>, value: T) {
+    /// One read-modify-write of the globally visible value: `next` sees it
+    /// and returns its replacement, or `None` to leave it (a failed CAS).
+    /// The lock is held across read, compare and write, so this is atomic
+    /// between real threads too, not only between serialized model steps.
+    /// Visible at this step; records the version bump when the mode keeps a
+    /// stale window. Returns the value read.
+    fn rmw(&self, session: Option<&WeakSession>, next: impl FnOnce(T) -> Option<T>) -> T {
         let window = session.map_or(0, |s| s.window());
-        Self::commit_value(&self.inner, value, window);
-        if window > 0 {
-            let session = session.expect("a stale window implies a session");
-            session.committed(session.loc(&self.inner.loc));
+        let mut main = lock(&self.inner.main);
+        let prev = *main;
+        if let Some(value) = next(prev) {
+            Self::set(&self.inner, &mut main, value, window);
+            drop(main);
+            if window > 0 {
+                let session = session.expect("a stale window implies a session");
+                session.committed(session.loc(&self.inner.loc));
+            }
         }
+        prev
     }
 
     /// Applies the stale-set effect of an RMW's outcome ordering: an
@@ -118,84 +132,6 @@ impl<T: Copy> Atomic<T> {
                 s.drain_stale();
             }
         }
-    }
-
-    /// Reads the value. One step. Equivalent to `load_ord(SeqCst)`: under
-    /// [`crate::MemoryMode::Relaxed`] the stale set drains first (a `SeqCst`
-    /// load is acquire-class), so the freshest committed value is returned.
-    pub fn load(&self) -> T {
-        step_read();
-        let session = weak_session();
-        if let Some(s) = &session {
-            if s.window() > 0 {
-                s.drain_stale();
-            }
-        }
-        self.observe(session.as_ref())
-    }
-
-    /// Writes the value. One step. Equivalent to `store_ord(value, SeqCst)`:
-    /// under a store-buffer mode the issuing thread's buffer drains first and
-    /// the store becomes globally visible at this step.
-    pub fn store(&self, value: T) {
-        step_write();
-        let session = weak_session();
-        if let Some(s) = &session {
-            s.drain();
-        }
-        self.commit_now(session.as_ref(), value);
-    }
-
-    /// Replaces the value, returning the previous one. One step, `SeqCst`.
-    pub fn swap(&self, value: T) -> T {
-        step_write();
-        let session = weak_session();
-        if let Some(s) = &session {
-            s.drain();
-        }
-        let prev = *lock(&self.inner.main);
-        self.commit_now(session.as_ref(), value);
-        Self::rmw_stale(session.as_ref(), Ordering::SeqCst);
-        prev
-    }
-
-    /// Compare-and-swap: if the cell equals `current`, writes `new` and
-    /// returns `Ok(current)`; otherwise returns `Err(actual)`. One step,
-    /// whether it succeeds or fails — mirroring a hardware CAS. `SeqCst`.
-    pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T>
-    where
-        T: PartialEq,
-    {
-        step_write();
-        let session = weak_session();
-        if let Some(s) = &session {
-            s.drain();
-        }
-        let actual = *lock(&self.inner.main);
-        let result = if actual == current {
-            self.commit_now(session.as_ref(), new);
-            Ok(current)
-        } else {
-            Err(actual)
-        };
-        Self::rmw_stale(session.as_ref(), Ordering::SeqCst);
-        result
-    }
-
-    /// Adds `rhs`, returning the previous value. One step, `SeqCst`.
-    pub fn fetch_add(&self, rhs: T) -> T
-    where
-        T: std::ops::Add<Output = T>,
-    {
-        step_write();
-        let session = weak_session();
-        if let Some(s) = &session {
-            s.drain();
-        }
-        let prev = *lock(&self.inner.main);
-        self.commit_now(session.as_ref(), prev + rhs);
-        Self::rmw_stale(session.as_ref(), Ordering::SeqCst);
-        prev
     }
 
     /// Non-yielding read, for code that owns the cell exclusively by
@@ -216,11 +152,23 @@ impl<T: Copy> Atomic<T> {
     pub fn store_plain(&self, value: T) {
         *lock(&self.inner.main) = value;
     }
+
+    /// The globally visible value through exclusive access, as `std`'s
+    /// `get_mut` (what `Drop` impls read). Never a step. Stores still in a
+    /// store buffer hold the shared storage and commit into it later; the
+    /// exclusively borrowed cell moves to fresh storage and leaves them.
+    pub fn get_mut(&mut self) -> &mut T {
+        if Arc::get_mut(&mut self.inner).is_none() {
+            *self = Self::new(self.load_plain());
+        }
+        let inner = Arc::get_mut(&mut self.inner).expect("storage is unshared");
+        inner.main.get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
-/// The `_ord` operations buffer typed values inside runtime-owned closures,
-/// hence the extra `Send + 'static` bounds (model values are `Copy` ids and
-/// counters, so this costs nothing in practice).
+/// The scheduled operations buffer typed values inside runtime-owned
+/// closures, hence the extra `Send + 'static` bounds (model values are `Copy`
+/// ids and counters, so this costs nothing in practice).
 impl<T: Copy + Send + 'static> Atomic<T> {
     /// Buffers one store of `value` in the issuing thread's store buffer.
     fn buffer(&self, session: &WeakSession, value: T, release: bool) {
@@ -236,7 +184,7 @@ impl<T: Copy + Send + 'static> Atomic<T> {
                 let v = lock(&inner.pending)[tid]
                     .pop_front()
                     .expect("runtime flushed a store this cell never buffered");
-                Self::commit_value(&inner, v, window);
+                Self::set(&inner, &mut lock(&inner.main), v, window);
             }),
         );
     }
@@ -253,6 +201,39 @@ impl<T: Copy + Send + 'static> Atomic<T> {
             }
             _ => unreachable!(),
         }
+    }
+
+    /// Reads the value. One step. `load_ord(SeqCst)`.
+    pub fn load(&self) -> T {
+        self.load_ord(SC)
+    }
+
+    /// Writes the value. One step. `store_ord(value, SeqCst)`.
+    pub fn store(&self, value: T) {
+        self.store_ord(value, SC);
+    }
+
+    /// Replaces the value, returning the previous one. One step, `SeqCst`.
+    pub fn swap(&self, value: T) -> T {
+        self.swap_ord(value, SC)
+    }
+
+    /// Compare-and-swap: if the cell equals `current`, writes `new` and
+    /// returns `Ok(current)`; otherwise returns `Err(actual)`. One step,
+    /// whether it succeeds or fails — mirroring a hardware CAS. `SeqCst`.
+    pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T>
+    where
+        T: PartialEq,
+    {
+        self.compare_exchange_ord(current, new, SC, SC)
+    }
+
+    /// Adds `rhs`, returning the previous value. One step, `SeqCst`.
+    pub fn fetch_add(&self, rhs: T) -> T
+    where
+        T: std::ops::Add<Output = T>,
+    {
+        self.fetch_add_ord(rhs, SC)
     }
 
     /// Reads the value with a declared load ordering. One step.
@@ -328,7 +309,7 @@ impl<T: Copy + Send + 'static> Atomic<T> {
             Some(session) => match order {
                 Ordering::SeqCst => {
                     session.drain();
-                    self.commit_now(Some(&session), value);
+                    self.rmw(Some(&session), |_| Some(value));
                 }
                 Ordering::Release => self.buffer(&session, value, true),
                 Ordering::Relaxed => self.buffer(&session, value, false),
@@ -349,8 +330,7 @@ impl<T: Copy + Send + 'static> Atomic<T> {
         if let Some(s) = &session {
             self.rmw_drain(s, order);
         }
-        let prev = *lock(&self.inner.main);
-        self.commit_now(session.as_ref(), value);
+        let prev = self.rmw(session.as_ref(), |_| Some(value));
         Self::rmw_stale(session.as_ref(), order);
         prev
     }
@@ -384,9 +364,8 @@ impl<T: Copy + Send + 'static> Atomic<T> {
         if let Some(s) = &session {
             self.rmw_drain(s, success);
         }
-        let actual = *lock(&self.inner.main);
+        let actual = self.rmw(session.as_ref(), |seen| (seen == current).then_some(new));
         let result = if actual == current {
-            self.commit_now(session.as_ref(), new);
             Ok(current)
         } else {
             // The failed CAS still observed the latest value (RMWs are
@@ -414,8 +393,7 @@ impl<T: Copy + Send + 'static> Atomic<T> {
         if let Some(s) = &session {
             self.rmw_drain(s, order);
         }
-        let prev = *lock(&self.inner.main);
-        self.commit_now(session.as_ref(), prev + rhs);
+        let prev = self.rmw(session.as_ref(), |seen| Some(seen + rhs));
         Self::rmw_stale(session.as_ref(), order);
         prev
     }
@@ -526,6 +504,24 @@ mod tests {
         assert_eq!(a.fetch_add_ord(6, Ordering::Relaxed), 4);
         assert_eq!(a.load_ord(Ordering::Relaxed), 10);
         fence(Ordering::SeqCst); // no-op outside models, must not panic
+    }
+
+    /// Regression: the RMWs read `main` under one lock acquisition and
+    /// committed under another, so real threads lost updates (2 x 200,000
+    /// `fetch_add(1)` ended at 332,733).
+    #[test]
+    fn rmws_are_atomic_between_real_threads() {
+        let mut counter = Atomic::new(0u64);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..100_000 {
+                        counter.fetch_add(1);
+                    }
+                });
+            }
+        });
+        assert_eq!(*counter.get_mut(), 200_000, "lost update");
     }
 
     #[test]

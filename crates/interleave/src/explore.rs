@@ -95,6 +95,21 @@ impl Config {
             ..Self::default()
         }
     }
+
+    /// [`Config::relaxed`] for explorations of the faithful structures: the
+    /// nightly CI job sets `INTERLEAVE_EXTENDED=1` to deepen the store buffer
+    /// to 6 and the stale window to 3 (more stale-read branching per load);
+    /// per-PR runs keep the defaults so the suites stay fast.
+    pub fn relaxed_extended(name: &'static str) -> Self {
+        let mut config = Self::relaxed(name);
+        if std::env::var_os("INTERLEAVE_EXTENDED").is_some() {
+            config.memory = MemoryMode::Relaxed {
+                bound: 6,
+                window: 3,
+            };
+        }
+        config
+    }
 }
 
 /// Why a schedule failed.
@@ -133,12 +148,22 @@ pub struct Report {
 }
 
 impl Report {
+    /// `[interleave] scenario schedules pruned` on stderr: a pure function of
+    /// the scenario, so CI diffs a one-CPU run's lines against an unpinned one.
+    fn print_counts(&self) {
+        eprintln!(
+            "[interleave] {} {} {}",
+            self.name, self.schedules, self.pruned
+        );
+    }
+
     /// Asserts the exploration found no failure.
     ///
     /// On failure, writes `<name>.schedule` under `$INTERLEAVE_FAILURE_DIR`
     /// (when set — CI uploads that directory as an artifact) and panics with
     /// the replayable schedule string.
     pub fn assert_ok(&self) {
+        self.print_counts();
         if let Some(failure) = &self.failure {
             persist_failure(self.name, failure);
             panic!(
@@ -152,6 +177,7 @@ impl Report {
     /// Asserts the exploration *did* find a failure (for seeded-bug models)
     /// and returns it.
     pub fn assert_fails(&self) -> &Failure {
+        self.print_counts();
         self.failure.as_ref().unwrap_or_else(|| {
             panic!(
                 "scenario '{}' unexpectedly passed all {} schedules ({} pruned)",

@@ -50,10 +50,20 @@
 //! the completed operations that (a) respects real time — an operation that
 //! returned before another was invoked stays before it — and (b) replays
 //! correctly against a [`SeqSpec`] reference model ([Wing & Gong's
-//! algorithm][wg]). The specs in [`spec`] cover every shared-object family
-//! in `crates/lockfree`; the step-faithful mirrors of the real algorithms
-//! live in [`models`], and the intentionally broken variants the explorer
-//! must catch live in [`models::buggy`].
+//! algorithm][wg]). The specs in [`spec`] cover the queue, stack, register,
+//! bounded-FIFO and pair-register families of `crates/lockfree` (none for the
+//! snapshot, checked by an invariant instead, or the list, not explored).
+//!
+//! # Real code and mirrors
+//!
+//! [`sync`] offers the names `crates/lockfree/src/sync.rs` exports over
+//! [`Atomic`]; a test crate that includes a structure's *source file* with
+//! `crate::sync` bound to it explores the code the library compiles. The
+//! SPSC ring, CAS register, bounded MPMC queue and atomic snapshot are
+//! checked that way (`crates/lockfree/tests/explore_real.rs`); what cannot
+//! be yet — anything on epoch reclamation, NBW, the sharded queue — has a
+//! step-faithful mirror in [`models`], and the intentionally broken
+//! variants the explorer must catch live in [`models::buggy`].
 //!
 //! [wg]: https://doi.org/10.1006/jpdc.1993.1015
 //!
@@ -89,6 +99,7 @@ mod schedule;
 pub mod linear;
 pub mod models;
 pub mod spec;
+pub mod sync;
 
 pub use arena::{Arena, NIL};
 pub use atomic::{fence, Atomic};

@@ -1,5 +1,10 @@
 //! Model of the bounded MPMC queue (Vyukov's sequence-stamped ring),
 //! mirroring `crates/lockfree/src/mpmc.rs`.
+//!
+//! The real queue is explored from its own source; this private mirror stays
+//! only as the shard of [`super::sharded::ModelShardedQueue`], whose scenarios
+//! fit the schedule budget only while slot accesses are *not* steps (DESIGN.md
+//! §6b). `crates/lockfree/tests/ordering_sync.rs` pins its orderings.
 
 use crate::atomic::Atomic;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};

@@ -1,12 +1,12 @@
 //! Model of the sharded MPMC queue, mirroring
-//! `crates/lockfree/src/sharded.rs`: N independent [`ModelMpmcQueue`]
+//! `crates/lockfree/src/sharded.rs`: N independent `ModelMpmcQueue`
 //! shards, per-thread enqueue affinity, and a stealing dequeue scan.
 //!
 //! The real `ShardedMpmcQueue` computes a home shard from the caller's
 //! thread hash; the model takes the home index as an explicit argument
 //! (`push_from`/`pop_from`), since model threads are scheduled actors, not
 //! OS threads. All scheduled steps belong to the underlying
-//! [`ModelMpmcQueue`] ring protocol (P1–P5/C1–C5); the scan order itself
+//! `ModelMpmcQueue` ring protocol (P1–P5/C1–C5); the scan order itself
 //! is thread-local control flow and takes no step, exactly like the real
 //! `(home + i) & mask` loop.
 //!

@@ -2,18 +2,16 @@
 //! schedule tree while recording a [`History`], and the post-check of every
 //! execution searches for a Wing–Gong sequential witness against the
 //! matching reference spec. A single interleaving with no witness fails the
-//! exploration with a replayable schedule.
+//! exploration with a replayable schedule. (Ring, register and bounded MPMC
+//! run theirs on the real source: `crates/lockfree/tests/explore_real.rs`.)
 
 use std::sync::Arc;
 
 use lfrt_interleave::linear::assert_linearizable;
 use lfrt_interleave::models::buggy::RacyStack;
-use lfrt_interleave::models::{
-    ModelCasRegister, ModelMpmcQueue, ModelMsQueue, ModelNbw, ModelSpscRing, ModelTreiberStack,
-};
+use lfrt_interleave::models::{ModelMsQueue, ModelNbw, ModelTreiberStack};
 use lfrt_interleave::spec::{
-    BoundedOp, BoundedQueueSpec, BoundedRet, PairOp, PairRet, PairSpec, QueueOp, QueueRet,
-    QueueSpec, RegisterOp, RegisterRet, RegisterSpec, StackOp, StackRet, StackSpec,
+    PairOp, PairRet, PairSpec, QueueOp, QueueRet, QueueSpec, StackOp, StackRet, StackSpec,
 };
 use lfrt_interleave::{explore, Config, History, Plan};
 
@@ -63,87 +61,6 @@ fn treiber_stack_linearizes_under_bounded_preemption() {
             .thread(mk(0, 1, Arc::clone(&stack), Arc::clone(&history)))
             .thread(mk(1, 2, Arc::clone(&stack), Arc::clone(&history)));
         plan.check(move || assert_linearizable(&StackSpec::new(), &history.completed()))
-    })
-    .assert_ok();
-}
-
-#[test]
-fn cas_register_linearizes_exhaustively() {
-    explore(&Config::exhaustive("lin-register"), || {
-        let reg = Arc::new(ModelCasRegister::new(0));
-        let history: Arc<History<RegisterOp, RegisterRet>> = Arc::new(History::new());
-        let mk_add = |tid: usize, k: u64, r: Arc<ModelCasRegister>, h: Arc<History<_, _>>| {
-            move || {
-                let t = h.begin(tid, RegisterOp::Add(k));
-                let prev = r.update(|v| v + k);
-                h.end(t, RegisterRet::Replaced(prev));
-            }
-        };
-        let (r2, h2) = (Arc::clone(&reg), Arc::clone(&history));
-        Plan::new()
-            .thread(mk_add(0, 1, Arc::clone(&reg), Arc::clone(&history)))
-            .thread(mk_add(1, 2, Arc::clone(&reg), Arc::clone(&history)))
-            .thread(move || {
-                let t = h2.begin(2, RegisterOp::Load);
-                let v = r2.load();
-                h2.end(t, RegisterRet::Value(v));
-            })
-            .check(move || assert_linearizable(&RegisterSpec::new(0), &history.completed()))
-    })
-    .assert_ok();
-}
-
-#[test]
-fn bounded_mpmc_linearizes_under_bounded_preemption() {
-    explore(&Config::preemptions("lin-mpmc", 3), || {
-        // Internal capacity 2 (the algorithm's minimum); the spec matches.
-        let queue = Arc::new(ModelMpmcQueue::new(2));
-        let history: Arc<History<BoundedOp, BoundedRet>> = Arc::new(History::new());
-        let (q0, h0) = (Arc::clone(&queue), Arc::clone(&history));
-        let (q1, h1) = (Arc::clone(&queue), Arc::clone(&history));
-        Plan::new()
-            .thread(move || {
-                for v in [1, 2] {
-                    let t = h0.begin(0, BoundedOp::Push(v));
-                    let fit = q0.push(v).is_ok();
-                    h0.end(t, BoundedRet::Pushed(fit));
-                }
-            })
-            .thread(move || {
-                for _ in 0..2 {
-                    let t = h1.begin(1, BoundedOp::Pop);
-                    let got = q1.pop();
-                    h1.end(t, BoundedRet::Popped(got));
-                }
-            })
-            .check(move || assert_linearizable(&BoundedQueueSpec::new(2), &history.completed()))
-    })
-    .assert_ok();
-}
-
-#[test]
-fn spsc_ring_linearizes_exhaustively() {
-    explore(&Config::exhaustive("lin-spsc-ring"), || {
-        let ring = Arc::new(ModelSpscRing::new(1));
-        let history: Arc<History<BoundedOp, BoundedRet>> = Arc::new(History::new());
-        let (producer, hp) = (Arc::clone(&ring), Arc::clone(&history));
-        let (consumer, hc) = (Arc::clone(&ring), Arc::clone(&history));
-        Plan::new()
-            .thread(move || {
-                for v in [1, 2] {
-                    let t = hp.begin(0, BoundedOp::Push(v));
-                    let fit = producer.push(v).is_ok();
-                    hp.end(t, BoundedRet::Pushed(fit));
-                }
-            })
-            .thread(move || {
-                for _ in 0..2 {
-                    let t = hc.begin(1, BoundedOp::Pop);
-                    let got = consumer.pop();
-                    hc.end(t, BoundedRet::Popped(got));
-                }
-            })
-            .check(move || assert_linearizable(&BoundedQueueSpec::new(1), &history.completed()))
     })
     .assert_ok();
 }

@@ -6,14 +6,13 @@
 //! fixed counterparts pass the same relaxed bounds. The faithful mirrors of
 //! `crates/lockfree` re-run under the relaxed mode and must stay green: the
 //! orderings the real code declares are sufficient even once `Relaxed`
-//! loads can read stale values.
+//! loads can read stale values (ring, register, bounded MPMC and the
+//! repeat-count check: `crates/lockfree/tests/explore_real.rs`).
 
 use std::sync::{Arc, Mutex};
 
 use lfrt_interleave::models::buggy::{MsgPassing, StaleNbwReader, StalePubRing, MSG};
-use lfrt_interleave::models::{
-    ModelCasRegister, ModelMpmcQueue, ModelMsQueue, ModelNbw, ModelSpscRing, ModelTreiberStack,
-};
+use lfrt_interleave::models::{ModelMsQueue, ModelNbw, ModelTreiberStack};
 use lfrt_interleave::{
     explore, replay_in, Config, FailureKind, MemoryMode, Plan, Schedule, REORDER_BASE,
 };
@@ -290,27 +289,13 @@ fn reorder_schedule_refuses_sc_and_store_buffer_replay() {
 // ---------------------------------------------------------------------------
 // The faithful mirrors, re-run under the relaxed mode: the orderings the
 // real code declares must be sufficient even with stale-read decisions in
-// play. Scenarios mirror `tests/weak_memory.rs` exactly, bounds included.
+// play ([`Config::relaxed_extended`]: deeper on the nightly job). Scenarios
+// mirror `tests/weak_memory.rs` exactly, bounds included.
 // ---------------------------------------------------------------------------
-
-/// The mirrors' relaxed config. The nightly extended-exploration CI job
-/// sets `INTERLEAVE_EXTENDED=1` to deepen the stale window and buffer
-/// bound past the per-PR defaults (more stale-read branching per load);
-/// per-PR runs use [`Config::relaxed`] unchanged so the suite stays fast.
-fn mirror_relaxed(name: &'static str) -> Config {
-    let mut cfg = Config::relaxed(name);
-    if std::env::var_os("INTERLEAVE_EXTENDED").is_some() {
-        cfg.memory = MemoryMode::Relaxed {
-            bound: 6,
-            window: 3,
-        };
-    }
-    cfg
-}
 
 #[test]
 fn treiber_stack_sound_under_relaxed() {
-    explore(&mirror_relaxed("treiber-relaxed"), || {
+    explore(&Config::relaxed_extended("treiber-relaxed"), || {
         let stack = Arc::new(ModelTreiberStack::new());
         let pusher = Arc::clone(&stack);
         let popper = Arc::clone(&stack);
@@ -338,7 +323,7 @@ fn treiber_stack_sound_under_relaxed() {
 
 #[test]
 fn ms_queue_sound_under_relaxed() {
-    explore(&mirror_relaxed("ms-queue-relaxed"), || {
+    explore(&Config::relaxed_extended("ms-queue-relaxed"), || {
         let queue = Arc::new(ModelMsQueue::new());
         let producer = Arc::clone(&queue);
         let consumer = Arc::clone(&queue);
@@ -364,58 +349,6 @@ fn ms_queue_sound_under_relaxed() {
     .assert_ok();
 }
 
-/// One push racing one pop on a 1-slot ring. Both threads *start* with a
-/// `Relaxed` load of a cell nobody has touched yet, which is what made this
-/// scenario's location numbering depend on real-thread timing.
-fn spsc_ring_scenario() -> Plan {
-    let ring = Arc::new(ModelSpscRing::new(1));
-    let producer = Arc::clone(&ring);
-    let consumer = Arc::clone(&ring);
-    let got = Arc::new(Mutex::new(Vec::new()));
-    let result = Arc::clone(&got);
-    let check_ring = Arc::clone(&ring);
-    let check_got = Arc::clone(&got);
-    Plan::new()
-        .thread(move || {
-            producer.push(7).expect("empty ring cannot be full");
-        })
-        .thread(move || {
-            if let Some(v) = consumer.pop() {
-                result.lock().unwrap().push(v);
-            }
-        })
-        .check(move || {
-            let mut seen = check_got.lock().unwrap().clone();
-            seen.extend(check_ring.drain_plain());
-            assert_eq!(seen, vec![7], "ring lost or tore the element");
-        })
-}
-
-#[test]
-fn spsc_ring_sound_under_relaxed() {
-    explore(&mirror_relaxed("spsc-ring-relaxed"), spsc_ring_scenario).assert_ok();
-}
-
-/// Location ids are handed out inside granted steps only, so the schedule
-/// tree is a pure function of the decisions: repeated explorations visit
-/// exactly the same number of schedules (they used to differ — or trip the
-/// explorer's nondeterminism assert — whenever the two launching threads
-/// numbered their first cells in the other order).
-#[test]
-fn spsc_ring_exploration_is_schedule_determined() {
-    let counts: Vec<(usize, usize)> = (0..50)
-        .map(|_| {
-            let report = explore(&mirror_relaxed("spsc-ring-repeat"), spsc_ring_scenario);
-            report.assert_ok();
-            (report.schedules, report.pruned)
-        })
-        .collect();
-    assert!(
-        counts.iter().all(|c| *c == counts[0]),
-        "schedule counts differ across repeats: {counts:?}"
-    );
-}
-
 #[test]
 fn nbw_register_sound_under_relaxed() {
     // Same CHESS bound as the bug/fix pair, for the same tree-size reason;
@@ -430,53 +363,6 @@ fn nbw_register_sound_under_relaxed() {
             .thread(move || {
                 let got = reader.read();
                 assert!(got == (0, 0) || got == (1, 2), "torn NBW read: {got:?}");
-            })
-    })
-    .assert_ok();
-}
-
-#[test]
-fn cas_register_sound_under_relaxed() {
-    explore(&mirror_relaxed("cas-register-relaxed"), || {
-        let reg = Arc::new(ModelCasRegister::new(0));
-        let mut plan = Plan::new();
-        for _ in 0..2 {
-            let reg = Arc::clone(&reg);
-            plan = plan.thread(move || {
-                reg.update(|v| v + 1);
-            });
-        }
-        let reg = Arc::clone(&reg);
-        plan.check(move || assert_eq!(reg.load_plain(), 2, "lost update"))
-    })
-    .assert_ok();
-}
-
-#[test]
-fn mpmc_queue_sound_under_relaxed() {
-    explore(&mirror_relaxed("mpmc-relaxed"), || {
-        let queue = Arc::new(ModelMpmcQueue::new(2));
-        let producer = Arc::clone(&queue);
-        let consumer = Arc::clone(&queue);
-        let got = Arc::new(Mutex::new(None));
-        let result = Arc::clone(&got);
-        let check_queue = Arc::clone(&queue);
-        let check_got = Arc::clone(&got);
-        Plan::new()
-            .thread(move || {
-                producer.push(9).expect("2-capacity queue cannot be full");
-            })
-            .thread(move || {
-                *result.lock().unwrap() = consumer.pop();
-            })
-            .check(move || {
-                let got = *check_got.lock().unwrap();
-                let remaining = check_queue.drain_plain();
-                match got {
-                    Some(9) => assert!(remaining.is_empty(), "popped yet still queued"),
-                    None => assert_eq!(remaining, vec![9], "push lost"),
-                    other => panic!("popped a value never pushed: {other:?}"),
-                }
             })
     })
     .assert_ok();

@@ -71,6 +71,7 @@ pub mod sharded;
 mod snapshot;
 mod stack;
 mod stats;
+mod sync;
 
 pub use elimination::EliminationArray;
 pub use list::LockFreeList;

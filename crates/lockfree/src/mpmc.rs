@@ -1,11 +1,10 @@
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam::utils::{Backoff, CachePadded};
 
 use crate::stats::OpStats;
+use crate::sync::{AtomicUsize, Ordering, UnsafeCell};
 
 /// A bounded lock-free multi-producer/multi-consumer queue (Vyukov's
 /// sequence-stamped ring).
@@ -21,10 +20,9 @@ use crate::stats::OpStats;
 /// allocates once at construction — the usual choice for embedded systems
 /// that forbid dynamic allocation after initialization.
 ///
-/// The step structure (P1–P5/C1–C5 below) is mirrored by
-/// `lfrt-interleave`'s `ModelMpmcQueue`; exploring that model is what
-/// surfaced the capacity-1 defect fixed in [`BoundedMpmcQueue::new`]
-/// (regression test: `tests/interleavings.rs`).
+/// This file is what `lfrt-interleave` explores (`tests/explore_real.rs`);
+/// exploring a single-slot ring is what surfaced the capacity-1 defect
+/// fixed in [`BoundedMpmcQueue::new`] (regression: the same test crate).
 ///
 /// # Examples
 ///
@@ -127,7 +125,7 @@ impl<T: Send> BoundedMpmcQueue<T> {
                             // SAFETY: winning the tail CAS grants exclusive
                             // write access to this slot until the sequence
                             // store below hands it to a consumer.
-                            unsafe { (*slot.value.get()).write(value) };
+                            slot.value.with_mut(|v| unsafe { (*v).write(value) });
                             slot.sequence.store(tail.wrapping_add(1), Ordering::Release);
                             trace.success();
                             return Ok(());
@@ -178,7 +176,7 @@ impl<T: Send> BoundedMpmcQueue<T> {
                             // SAFETY: winning the head CAS grants exclusive
                             // read access; the producer initialized the slot
                             // before its Release store of this sequence.
-                            let value = unsafe { (*slot.value.get()).assume_init_read() };
+                            let value = slot.value.with(|v| unsafe { (*v).assume_init_read() });
                             slot.sequence
                                 .store(head.wrapping_add(mask + 1), Ordering::Release);
                             trace.success();
@@ -240,7 +238,7 @@ impl<T> Drop for BoundedMpmcQueue<T> {
             if *slot.sequence.get_mut() == head.wrapping_add(1) {
                 // SAFETY: published and never consumed; both endpoints are
                 // gone (`&mut self`).
-                unsafe { (*slot.value.get()).assume_init_drop() };
+                unsafe { slot.value.get_mut().assume_init_drop() };
             }
             head = head.wrapping_add(1);
         }

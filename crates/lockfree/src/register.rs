@@ -1,8 +1,7 @@
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crossbeam::utils::Backoff;
 
 use crate::stats::OpStats;
+use crate::sync::{AtomicU64, Ordering};
 
 /// A single-word lock-free read-modify-write register.
 ///
@@ -12,9 +11,9 @@ use crate::stats::OpStats;
 /// [`CasRegister::update`] is a read–compute–CAS loop; a failed CAS is one
 /// retry of the kind bounded per job by Theorem 2.
 ///
-/// The load→CAS loop is mirrored by `lfrt-interleave`'s `ModelCasRegister`
-/// and checked linearizable over every interleaving of concurrent updates
-/// in `crates/interleave/tests/linearizability.rs`.
+/// This file is what `lfrt-interleave` explores (`tests/explore_real.rs`):
+/// the load→CAS loop is checked linearizable over every interleaving of
+/// concurrent updates.
 ///
 /// # Examples
 ///

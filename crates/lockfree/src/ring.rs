@@ -1,10 +1,10 @@
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crossbeam::utils::CachePadded;
+
+use crate::sync::{AtomicUsize, Ordering, UnsafeCell};
 
 /// Creates a bounded single-producer/single-consumer ring of the given
 /// capacity, split into its two endpoints.
@@ -15,9 +15,10 @@ use crossbeam::utils::CachePadded;
 /// each index has exactly one writer. Bounded rings like this are the
 /// bread-and-butter of embedded ISR-to-task communication.
 ///
-/// The index protocol is mirrored step for step by `lfrt-interleave`'s
-/// `ModelSpscRing`, checked linearizable over its exhaustive small-bound
-/// schedule space in `crates/interleave` and `tests/interleavings.rs`.
+/// This file is what `lfrt-interleave` explores (`tests/explore_real.rs`
+/// includes it over instrumented atomics): linearizable over its exhaustive
+/// small-bound schedule space, and sound under the store-buffer and relaxed
+/// memory modes with exactly the orderings written below.
 ///
 /// The usable capacity is `capacity` elements (one extra internal slot
 /// distinguishes full from empty).
@@ -90,7 +91,7 @@ impl<T> Drop for Shared<T> {
         while head != tail {
             // SAFETY: slots in [head, tail) hold initialized values that no
             // endpoint will touch again (both handles are gone).
-            unsafe { (*self.buffer[head].get()).assume_init_drop() };
+            unsafe { self.buffer[head].get_mut().assume_init_drop() };
             head = (head + 1) % self.buffer.len();
         }
     }
@@ -121,7 +122,7 @@ impl<T: Send> RingProducer<T> {
         }
         // SAFETY: slot `tail` is outside [head, tail), so the consumer will
         // not read it until the store below publishes it.
-        unsafe { (*shared.buffer[tail].get()).write(value) };
+        shared.buffer[tail].with_mut(|slot| unsafe { (*slot).write(value) });
         shared.tail.store(next, Ordering::Release);
         trace.success();
         Ok(())
@@ -160,7 +161,7 @@ impl<T: Send> RingConsumer<T> {
         // SAFETY: slot `head` is inside [head, tail): initialized by the
         // producer and published by its Release store; the producer will not
         // reuse it until our store below frees it.
-        let value = unsafe { (*shared.buffer[head].get()).assume_init_read() };
+        let value = shared.buffer[head].with(|slot| unsafe { (*slot).assume_init_read() });
         shared.head.store(shared.next(head), Ordering::Release);
         trace.success();
         Some(value)

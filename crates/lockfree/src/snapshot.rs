@@ -1,8 +1,7 @@
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use crossbeam::utils::Backoff;
 
 use crate::stats::OpStats;
+use crate::sync::{AtomicU64, Ordering};
 
 /// A lock-free atomic multi-cell snapshot.
 ///

@@ -1,36 +1,22 @@
 //! Bridges the deterministic interleaving harness (`lfrt-interleave`) to
-//! the real structures in this crate.
+//! the real structures in this crate that it still checks through *models*
+//! (the Michael–Scott queue, the Treiber stack, NBW — DESIGN.md §6b says why
+//! each is mirrored). The ring, register, bounded MPMC queue and snapshot
+//! need no bridge: `explore_real.rs` explores their source.
 //!
-//! The harness explores *models* that mirror these algorithms step for step
-//! (see the "Step structure" section in each module here), so its guarantees
-//! transfer only if the mirrors are faithful. This suite pins that down from
-//! both ends:
-//!
-//! * **Sequential agreement** — every model and its real counterpart produce
-//!   identical results on the same operation sequence, including full/empty
-//!   edges. A drift in semantics fails here before it can silently weaken
-//!   the exploration results.
-//! * **Regressions found or prevented by the harness** — the capacity-1
-//!   defect in [`BoundedMpmcQueue::new`] (a single-slot Vyukov ring lets the
-//!   second push overwrite the unconsumed first element, then livelocks) was
-//!   found by exploring the model; its fix is locked in here against both
-//!   the real queue and the model. The ABA scenario demonstrates what the
-//!   real stack's epoch reclamation is protecting against: the recycling
-//!   variant fails replayably, the append-only mirror survives the same
-//!   schedule space.
+//! The harness's guarantees transfer to a mirrored structure only if the
+//! mirror is faithful, so every model and its real counterpart must produce
+//! identical results on the same operation sequence, including the empty
+//! edge: a drift in semantics fails here before it can silently weaken the
+//! exploration results. (Orderings: `ordering_sync.rs`. What reclamation
+//! protects the real stack from — the ABA scenario, recycling variant caught,
+//! append-only mirror safe — is `crates/interleave/tests/explorer.rs`.)
 
-use std::sync::Arc;
-
-use lfrt_interleave::models::buggy::AbaStack;
-use lfrt_interleave::models::{
-    ModelMpmcQueue, ModelMsQueue, ModelNbw, ModelSpscRing, ModelTreiberStack,
-};
-use lfrt_interleave::{explore, replay, Config, Plan};
-use lfrt_lockfree::{nbw_register, spsc_ring, BoundedMpmcQueue, LockFreeQueue, TreiberStack};
+use lfrt_interleave::models::{ModelMsQueue, ModelNbw, ModelTreiberStack};
+use lfrt_lockfree::{nbw_register, LockFreeQueue, TreiberStack};
 
 /// A deterministic mixed push/pop pattern: `true` = push the next value,
-/// `false` = pop. Front-loads pops to hit the empty edge, back-loads pushes
-/// to hit the full edge of bounded structures.
+/// `false` = pop. Front-loads pops to hit the empty edge.
 fn op_pattern() -> Vec<bool> {
     let mut ops = vec![false, true, true, false, false, false, true];
     ops.extend([true, true, true, true, false, true, false, false]);
@@ -82,58 +68,6 @@ fn model_stack_agrees_with_real_stack() {
 }
 
 #[test]
-fn model_mpmc_agrees_with_real_mpmc() {
-    for capacity in [1, 2, 4] {
-        let model = ModelMpmcQueue::new(capacity);
-        let real: BoundedMpmcQueue<u64> = BoundedMpmcQueue::new(capacity);
-        let mut next = 0u64;
-        for push in op_pattern() {
-            if push {
-                next += 1;
-                assert_eq!(
-                    model.push(next).is_ok(),
-                    real.push(next).is_ok(),
-                    "capacity {capacity}, value {next}"
-                );
-            } else {
-                assert_eq!(model.pop(), real.pop(), "capacity {capacity}");
-            }
-        }
-        let mut real_leftover = Vec::new();
-        while let Some(v) = real.pop() {
-            real_leftover.push(v);
-        }
-        assert_eq!(model.drain_plain(), real_leftover, "capacity {capacity}");
-    }
-}
-
-#[test]
-fn model_ring_agrees_with_real_ring() {
-    for capacity in [1, 3] {
-        let model = ModelSpscRing::new(capacity);
-        let (mut producer, mut consumer) = spsc_ring::<u64>(capacity);
-        let mut next = 0u64;
-        for push in op_pattern() {
-            if push {
-                next += 1;
-                assert_eq!(
-                    model.push(next).is_ok(),
-                    producer.push(next).is_ok(),
-                    "capacity {capacity}, value {next}"
-                );
-            } else {
-                assert_eq!(model.pop(), consumer.pop(), "capacity {capacity}");
-            }
-        }
-        let mut real_leftover = Vec::new();
-        while let Some(v) = consumer.pop() {
-            real_leftover.push(v);
-        }
-        assert_eq!(model.drain_plain(), real_leftover, "capacity {capacity}");
-    }
-}
-
-#[test]
 fn model_nbw_agrees_with_real_nbw() {
     let model = ModelNbw::new(0, 0);
     let (mut writer, reader) = nbw_register((0u64, 0u64));
@@ -143,126 +77,4 @@ fn model_nbw_agrees_with_real_nbw() {
         writer.write((i, 10 * i));
     }
     assert_eq!(model.read_plain(), reader.read());
-}
-
-/// The regression the harness earned its keep on: `BoundedMpmcQueue::new(1)`
-/// used to build a single-slot ring, where the second push claims the
-/// unconsumed first element's slot (its published sequence equals the next
-/// ticket), losing the element and then livelocking `pop`. `new` now floors
-/// the ring at two slots; this pins the observable behavior.
-#[test]
-fn mpmc_capacity_one_regression() {
-    let q: BoundedMpmcQueue<u64> = BoundedMpmcQueue::new(1);
-    assert_eq!(q.push(1), Ok(()));
-    assert_eq!(q.push(2), Ok(()), "two slots minimum");
-    assert_eq!(q.push(3), Err(3));
-    assert_eq!(q.pop(), Some(1), "first element must not be overwritten");
-    assert_eq!(q.pop(), Some(2));
-    assert_eq!(q.pop(), None);
-
-    // And the model form of the same regression: a push/push vs pop/pop race
-    // on the floored ring conserves both elements in every interleaving.
-    explore(&Config::preemptions("mpmc-cap1-regression", 3), || {
-        let q = Arc::new(ModelMpmcQueue::new(1));
-        let (qp, qc) = (Arc::clone(&q), Arc::clone(&q));
-        let popped = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let out = Arc::clone(&popped);
-        Plan::new()
-            .thread(move || {
-                assert_eq!(qp.push(1), Ok(()));
-                assert_eq!(qp.push(2), Ok(()));
-            })
-            .thread(move || {
-                let mut got = Vec::new();
-                got.extend(qc.pop());
-                got.extend(qc.pop());
-                *out.lock().unwrap() = got;
-            })
-            .check(move || {
-                let mut seen = popped.lock().unwrap().clone();
-                seen.extend(q.drain_plain());
-                seen.sort_unstable();
-                assert_eq!(seen, vec![1, 2], "elements lost or duplicated");
-            })
-    })
-    .assert_ok();
-}
-
-/// The ABA scenario, run from the real crate's perspective: the recycling
-/// stack (immediate reuse, no grace period) corrupts itself under a schedule
-/// the explorer finds and replays; the append-only mirror — the model of
-/// what crossbeam's epochs give [`TreiberStack`] — survives the entire
-/// schedule space of the same scenario.
-#[test]
-fn aba_regression_reuse_fails_epochs_survive() {
-    fn scenario(recycling: bool) -> Plan {
-        let buggy = recycling.then(|| Arc::new(AbaStack::new()));
-        let good = (!recycling).then(|| Arc::new(ModelTreiberStack::new()));
-        let push = |v: u64| match (&buggy, &good) {
-            (Some(s), _) => s.push(v),
-            (_, Some(s)) => s.push(v),
-            _ => unreachable!(),
-        };
-        push(1);
-        push(2);
-        let popped = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let (b0, g0, r0) = (buggy.clone(), good.clone(), Arc::clone(&popped));
-        let (b1, g1, r1) = (buggy.clone(), good.clone(), Arc::clone(&popped));
-        Plan::new()
-            .thread(move || {
-                let got = match (&b0, &g0) {
-                    (Some(s), _) => s.pop(),
-                    (_, Some(s)) => s.pop(),
-                    _ => unreachable!(),
-                };
-                r0.lock().unwrap().extend(got);
-            })
-            .thread(move || {
-                let mut out = Vec::new();
-                let pop = |s0: &Option<Arc<AbaStack>>, s1: &Option<Arc<ModelTreiberStack>>| match (
-                    s0, s1,
-                ) {
-                    (Some(s), _) => s.pop(),
-                    (_, Some(s)) => s.pop(),
-                    _ => unreachable!(),
-                };
-                out.extend(pop(&b1, &g1));
-                out.extend(pop(&b1, &g1));
-                match (&b1, &g1) {
-                    (Some(s), _) => s.push(3),
-                    (_, Some(s)) => s.push(3),
-                    _ => unreachable!(),
-                }
-                r1.lock().unwrap().extend(out);
-            })
-            .check(move || {
-                let remaining = match (&buggy, &good) {
-                    (Some(s), _) => s.drain_plain(),
-                    (_, Some(s)) => s.drain_plain(),
-                    _ => unreachable!(),
-                };
-                let mut seen = popped.lock().unwrap().clone();
-                seen.extend(remaining);
-                seen.sort_unstable();
-                assert_eq!(seen, vec![1, 2, 3], "elements lost or duplicated");
-            })
-    }
-
-    let report = explore(&Config::exhaustive("lockfree-aba-reuse"), || scenario(true));
-    let failure = report.assert_fails();
-    assert!(
-        failure.message.contains("lost or duplicated"),
-        "{failure:?}"
-    );
-    // The failure must be replayable from its schedule alone.
-    let schedule = failure.schedule.clone();
-    let err = std::panic::catch_unwind(move || replay(&schedule, || scenario(true)))
-        .expect_err("replay must reproduce the ABA corruption");
-    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("lost or duplicated"), "{msg}");
-
-    explore(&Config::exhaustive("lockfree-aba-epochs"), || {
-        scenario(false)
-    })
-    .assert_ok();
 }

@@ -10,6 +10,11 @@
 //! vice versa — fails here and forces both edits (plus the restated
 //! argument in `ordering_pins.rs`) to land together.
 //!
+//! Only structures that still *have* a mirror are listed: the ring, the
+//! register and the snapshot are explored from their own source
+//! (`explore_real.rs`); so is the MPMC queue, whose entry stays only while
+//! its mirror survives as the sharded model's building block.
+//!
 //! Like `ordering_pins.rs`, the assertions are whitespace-insensitive
 //! source-text checks: the same literal tokens `lfrt-ordlint` scans.
 
@@ -183,56 +188,5 @@ fn nbw_model_orderings_match_real() {
         "nbw.rs",
         "fence(Acquire)",
         "reader: payload reads must not sink below the recheck",
-    );
-}
-
-/// SPSC ring: Relaxed own-index loads, Acquire foreign-index loads,
-/// Release index publications.
-#[test]
-fn ring_model_orderings_match_real() {
-    for (real_site, model_site, why) in [
-        (
-            "shared.tail.load(Ordering::Relaxed)",
-            "self.tail.load_ord(Relaxed)",
-            "producer owns tail: Relaxed self-read",
-        ),
-        (
-            "shared.head.load(Ordering::Acquire)",
-            "self.head.load_ord(Acquire)",
-            "producer acquires the consumer's frees",
-        ),
-        (
-            "shared.tail.store(next, Ordering::Release)",
-            "self.tail.store_ord(next, Release)",
-            "producer publishes the filled slot with Release",
-        ),
-        (
-            "shared.tail.load(Ordering::Acquire)",
-            "self.tail.load_ord(Acquire)",
-            "consumer acquires the producer's fills",
-        ),
-    ] {
-        assert_pair("ring.rs", real_site, "ring.rs", model_site, why);
-    }
-}
-
-/// CAS register: Acquire read, AcqRel/Relaxed update CAS — including the
-/// audit's downgraded failure ordering (ordering_pins.rs states the
-/// argument; this pins that the model matches it).
-#[test]
-fn register_model_orderings_match_real() {
-    assert_pair(
-        "register.rs",
-        "self.value.load(Ordering::Acquire)",
-        "register.rs",
-        "self.value.load_ord(Acquire)",
-        "read acquires the last published value",
-    );
-    assert_pair(
-        "register.rs",
-        "compare_exchange_weak(current, next, Ordering::AcqRel, Ordering::Relaxed,)",
-        "register.rs",
-        "compare_exchange_ord(current, next, AcqRel, Relaxed)",
-        "update CAS: AcqRel success, audited Relaxed failure",
     );
 }

@@ -182,9 +182,21 @@ pub fn starts_with_deref(text: &str) -> bool {
         .any(|m| text.starts_with(m))
 }
 
+/// Whether `text` opens with a field path ending in a facade cell access:
+/// `.value.with(` / `.with_mut(`. The closure handed to
+/// `crate::sync::UnsafeCell::{with, with_mut}` dereferences the cell's
+/// payload, so the call dereferences whatever the receiver was reached
+/// through — exactly as `*x.value.get()` did before the facade.
+fn starts_with_cell_access(text: &str) -> bool {
+    let is_path = |c: char| c == '.' || c == '_' || c.is_ascii_alphanumeric();
+    let (path, tail) = text.split_at(text.find(|c| !is_path(c)).unwrap_or(text.len()));
+    tail.starts_with('(') && (path.ends_with(".with") || path.ends_with(".with_mut"))
+}
+
 /// First dereference-shaped use of `ident` in `clean[span]` at or after
-/// `from`: `*ident` (tight, not multiplication) or
-/// `ident.deref()`/`.deref_mut()`/`.as_ref()`/`.as_mut()`.
+/// `from`: `*ident` (tight, not multiplication),
+/// `ident.deref()`/`.deref_mut()`/`.as_ref()`/`.as_mut()`, or a facade cell
+/// access reached through it (`ident.field.with(..)`/`.with_mut(..)`).
 pub fn deref_use_after(
     clean: &str,
     span: (usize, usize),
@@ -206,7 +218,8 @@ pub fn deref_use_after(
                 return Some(base + pos);
             }
         }
-        if starts_with_deref(&text[pos + ident.len()..]) {
+        let after = &text[pos + ident.len()..];
+        if starts_with_deref(after) || starts_with_cell_access(after) {
             return Some(base + pos);
         }
         i = pos + ident.len();

@@ -35,7 +35,7 @@ fn ord001_fires_on_relaxed_publication_only() {
 fn ord002_fires_on_binding_and_chain_derefs() {
     assert_eq!(
         findings_in("ord002.rs"),
-        pairs(&[("ORD002", 4), ("ORD002", 9)])
+        pairs(&[("ORD002", 4), ("ORD002", 9), ("ORD002", 23)])
     );
 }
 
@@ -98,7 +98,7 @@ fn fixture_scan_sees_every_file() {
             "rawstr.rs"
         ]
     );
-    assert_eq!(findings.len(), 9, "{findings:?}");
+    assert_eq!(findings.len(), 10, "{findings:?}");
 }
 
 #[test]

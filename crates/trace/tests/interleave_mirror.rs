@@ -202,19 +202,11 @@ fn relaxed_slot_words_pass_sc_but_store_buffer_catches_the_torn_keep() {
 
 /// Relaxed-mode (ARM/POWER-class) runs: same CHESS bound as the
 /// store-buffer explorations, now with stale-read decisions in the tree.
+/// (Deeper window and buffer on the nightly job: `relaxed_extended`.)
 fn bounded_relaxed(name: &'static str) -> Config {
-    // The nightly extended-exploration CI job sets INTERLEAVE_EXTENDED=1
-    // to deepen the stale window/buffer bound; per-PR runs use the
-    // defaults so the suite stays fast.
-    let (bound, window) = if std::env::var_os("INTERLEAVE_EXTENDED").is_some() {
-        (6, 3)
-    } else {
-        (MemoryMode::DEFAULT_BOUND, MemoryMode::DEFAULT_WINDOW)
-    };
     Config {
         preemption_bound: Some(3),
-        memory: MemoryMode::Relaxed { bound, window },
-        ..Config::exhaustive(name)
+        ..Config::relaxed_extended(name)
     }
 }
 
