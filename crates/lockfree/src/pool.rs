@@ -160,12 +160,11 @@ struct Cache {
     pool: &'static RawPool,
     /// This thread's telemetry stripe in `pool.shards`: the Fibonacci-
     /// hashed thread ordinal (`crate::stats::thread_hash`) masked to
-    /// [`SHARDS`] — the same lane hash `OpStats` stripes by, so both
-    /// telemetry layers put a thread in the same relative lane. The
-    /// round-robin counter this replaced (`NEXT_SHARD.fetch_add % SHARDS`)
-    /// drifted under thread churn: exits never decremented it, so
-    /// long-running processes walked the assignment around the ring and
-    /// the two layers' stripes fell out of correspondence.
+    /// [`SHARDS`]. Shards are flushed into with `fetch_add`, so two
+    /// threads hashing to one shard is harmless. The round-robin counter
+    /// this replaced (`NEXT_SHARD.fetch_add % SHARDS`) drifted under
+    /// thread churn: exits never decremented it, so long-running processes
+    /// walked the assignment around the ring.
     shard: usize,
     /// Per-op counters, accumulated without atomics and flushed to the
     /// shard on cold events (see [`Cache::flush_stats`]).

@@ -10,10 +10,10 @@
 //! within their shard.
 //!
 //! * **Enqueue affinity**: a thread's home shard is its Fibonacci-hashed
-//!   ordinal (`crate::stats::thread_hash` — the same lane hash the
-//!   `OpStats` stripes and the node pool's telemetry shards use) masked to
-//!   the shard count. A full home shard falls through to a bounded scan of
-//!   the others; `Err` is returned only when *every* shard is full.
+//!   ordinal (`crate::stats::thread_hash` — the same lane hash the node
+//!   pool's telemetry shards use) masked to the shard count. A full home
+//!   shard falls through to a bounded scan of the others; `Err` is
+//!   returned only when *every* shard is full.
 //! * **Dequeue stealing**: a consumer drains its home shard first and
 //!   steals from the others when home is empty (emitting one
 //!   [`lfrt_trace::EventKind::ShardSteal`] event per successful steal), so

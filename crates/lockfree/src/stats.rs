@@ -1,32 +1,71 @@
+//! Attempt/retry counters that cost no `lock`-prefixed instruction.
+//!
+//! Counting is not synchronisation: an [`OpStats`] sits inside every CAS
+//! retry loop of every lock-free object, between the read of `top`/`tail`
+//! and the CAS, so an atomic read-modify-write there lengthens the very
+//! window in which a competitor invalidates the read. Each thread therefore
+//! **owns** one counter lane for its whole lifetime and bumps it with a
+//! plain load and a plain store; only a thread that finds every lane taken
+//! shares one extra stripe through `fetch_add`.
+//!
+//! What is exact when: a count is in the object the moment
+//! [`OpStats::attempt`]/[`OpStats::retry`] returns — there is no per-thread
+//! buffer and nothing to flush — so every reader that synchronises with the
+//! writer (a `join`, the end of a `std::thread::scope`, a barrier) reads
+//! totals equal to the ground truth, for any number of threads. A reader
+//! racing live writers sees each lane at some recent value and never
+//! `retries > attempts` (see [`OpStats::snapshot`]).
+
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::utils::CachePadded;
 
-/// Stripes per [`OpStats`] (power of two). Sixteen keeps cross-thread
-/// collisions rare at the thread counts the experiments use while costing
-/// only `16 * 128` bytes per instrumented object.
+/// Exclusively owned stripes per [`OpStats`], and so the number of threads
+/// that can count without an atomic read-modify-write at the same time. An
+/// object costs `(16 + 1) * 128` bytes of counters.
 const STRIPES: usize = 16;
 
-/// Monotone thread counter backing the per-thread stripe choice.
+/// [`LANE`] of a thread that counts on the shared fallback stripe.
+const SHARED: usize = STRIPES;
+
+/// [`LANE`] of a thread that has not counted anything yet.
+const UNCLAIMED: usize = usize::MAX;
+
+/// Bit `i` is set while stripe `i` — of every [`OpStats`] in the process —
+/// belongs to one live thread.
+static CLAIMED: AtomicU32 = AtomicU32::new(0);
+
+/// Monotone thread counter backing [`thread_hash`].
 static NEXT_THREAD: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// This thread's Fibonacci-hashed ordinal, computed once (see
     /// [`thread_hash`]).
     static HASH: Cell<usize> = const { Cell::new(usize::MAX) };
+
+    /// The stripe this thread counts on: an owned index below [`STRIPES`],
+    /// [`SHARED`], or [`UNCLAIMED`]. It has no destructor, so the hot path
+    /// reads it without a liveness check and it stays readable while the
+    /// thread's other thread-locals are being destroyed.
+    static LANE: Cell<usize> = const { Cell::new(UNCLAIMED) };
+
+    /// Hands the owned lane back when the thread exits.
+    static LANE_GUARD: LaneGuard = const { LaneGuard };
 }
 
-/// The calling thread's Fibonacci-hashed process-wide ordinal, the one
-/// lane-selection hash every striping layer in the crate shares: the
-/// [`OpStats`] counter stripes mask it to [`STRIPES`], the node pool's
-/// telemetry shards (`crate::pool`) mask it to their shard count, and the
-/// sharded MPMC queue (`crate::sharded`) masks it to its shard count for
-/// enqueue affinity. Hashing one monotone ordinal — instead of, say, a
-/// per-layer round-robin counter — keeps the layers consistent (a thread
-/// occupies the *same relative lane* everywhere) and spreads consecutive
-/// ordinals across any power-of-two lane count (Fibonacci hashing), with
-/// no global counter drifting on thread churn.
+/// The calling thread's Fibonacci-hashed process-wide ordinal, the
+/// lane-selection hash of the crate's *hashed* striping layers: the node
+/// pool's telemetry shards (`crate::pool`) mask it to their shard count,
+/// the sharded MPMC queue (`crate::sharded`) masks it to its shard count
+/// for enqueue affinity, and the elimination array starts its slot probe
+/// from it. Hashing one monotone ordinal — instead of, say, a per-layer
+/// round-robin counter — keeps the layers consistent (a thread occupies the
+/// *same relative lane* everywhere) and spreads consecutive ordinals across
+/// any power-of-two lane count (Fibonacci hashing), with no global counter
+/// drifting on thread churn. [`OpStats`] does not use it: a hashed lane can
+/// collide, and its stripes must have one writer each.
 #[inline]
 pub(crate) fn thread_hash() -> usize {
     HASH.with(|s| {
@@ -41,13 +80,48 @@ pub(crate) fn thread_hash() -> usize {
     })
 }
 
-#[inline]
-fn stripe_index() -> usize {
-    thread_hash() & (STRIPES - 1)
+struct LaneGuard;
+
+impl Drop for LaneGuard {
+    fn drop(&mut self) {
+        // Whatever this thread still counts (from a later thread-local
+        // destructor) goes to the shared stripe: the lane may have a new
+        // owner by then.
+        let lane = LANE.replace(SHARED);
+        if lane < STRIPES {
+            // Release: pairs with the Acquire claim in `claim_lane`, so the
+            // next owner's first load of a stripe sees this thread's last
+            // store to it.
+            CLAIMED.fetch_and(!(1 << lane), Ordering::Release);
+        }
+    }
 }
 
-/// One cache line of counters; each thread hammers only its own stripe.
-#[derive(Debug, Default)]
+/// First count on this thread: claims a free lane, or settles for the
+/// shared stripe when all [`STRIPES`] are taken. A bounded scan — one RMW
+/// per lane, never a retry — so the callers stay wait-free.
+#[cold]
+fn claim_lane() -> usize {
+    // Touching the guard registers its destructor. If that has already run,
+    // this thread is tearing down its thread-locals and nothing would give
+    // a claimed lane back.
+    let lane = match LANE_GUARD.try_with(|_| ()) {
+        Ok(()) => (0..STRIPES)
+            .find(|&lane| {
+                let bit = 1 << lane;
+                CLAIMED.fetch_or(bit, Ordering::Acquire) & bit == 0
+            })
+            .unwrap_or(SHARED),
+        Err(_) => SHARED,
+    };
+    LANE.set(lane);
+    lane
+}
+
+/// One cache line of counters. Stripes `0..STRIPES` have a single writer,
+/// the thread owning that lane; stripe [`SHARED`] is written by everyone
+/// else.
+#[derive(Default)]
 struct Stripe {
     attempts: AtomicU64,
     retries: AtomicU64,
@@ -60,18 +134,21 @@ struct Stripe {
 /// `attempts == successes + retries` and a contention-free run has
 /// `retries == 0`.
 ///
-/// Counters are **striped**: each thread picks one of [`STRIPES`]
-/// cache-line-padded counter pairs by a hash of its thread ordinal, so the
-/// bookkeeping inside a CAS loop touches a line no other core is writing —
-/// a shared `fetch_add` here would reintroduce exactly the cache-line
-/// ping-pong the lock-free fast path exists to avoid. Reads
-/// ([`OpStats::attempts`], [`OpStats::snapshot`], …) sum over the stripes.
+/// Counters are **owned by lane**: on its first count a thread claims one of
+/// [`STRIPES`] lanes process-wide and keeps it until it exits, and stripe
+/// `i` of every `OpStats` is written only by the owner of lane `i`. A count
+/// is then a `Relaxed` load and a `Relaxed` store of a cache line no other
+/// core writes — no `lock` prefix inside the CAS loop. A thread that finds
+/// every lane taken (more than [`STRIPES`] counting threads alive at once)
+/// counts on one extra shared stripe with `fetch_add`. Reads
+/// ([`OpStats::attempts`], [`OpStats::snapshot`], …) sum over all stripes
+/// and are exact for every writer the reader has synchronised with; there
+/// is no reset — take [`OpStats::snapshot`] deltas to window a count.
 ///
 /// Counters use relaxed atomics: they are monotone statistics, not
 /// synchronization.
-#[derive(Debug)]
 pub struct OpStats {
-    stripes: Box<[CachePadded<Stripe>; STRIPES]>,
+    stripes: Box<[CachePadded<Stripe>; STRIPES + 1]>,
 }
 
 impl Default for OpStats {
@@ -82,26 +159,56 @@ impl Default for OpStats {
     }
 }
 
+impl fmt::Debug for OpStats {
+    /// The totals, and how many of the attempts took the shared fallback
+    /// stripe (non-zero only if more than [`STRIPES`] threads counted at
+    /// once).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let snap = self.snapshot();
+        f.debug_struct("OpStats")
+            .field("attempts", &snap.attempts)
+            .field("retries", &snap.retries)
+            .field(
+                "shared_attempts",
+                &self.stripes[SHARED].attempts.load(Ordering::Relaxed),
+            )
+            .finish()
+    }
+}
+
 impl OpStats {
     /// Creates zeroed counters.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Adds one to the calling thread's `counter`.
+    #[inline]
+    fn count(&self, counter: impl Fn(&Stripe) -> &AtomicU64) {
+        let mut lane = LANE.get();
+        if lane == UNCLAIMED {
+            lane = claim_lane();
+        }
+        if lane < STRIPES {
+            // Sole writer of this stripe: nothing can land between the load
+            // and the store.
+            let counter = counter(&self.stripes[lane]);
+            counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+        } else {
+            counter(&self.stripes[SHARED]).fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Records one pass through an operation loop.
     #[inline]
     pub fn attempt(&self) {
-        self.stripes[stripe_index()]
-            .attempts
-            .fetch_add(1, Ordering::Relaxed);
+        self.count(|stripe| &stripe.attempts);
     }
 
     /// Records one failed pass (the operation will retry).
     #[inline]
     pub fn retry(&self) {
-        self.stripes[stripe_index()]
-            .retries
-            .fetch_add(1, Ordering::Relaxed);
+        self.count(|stripe| &stripe.retries);
     }
 
     /// Total passes through operation loops so far.
@@ -129,8 +236,9 @@ impl OpStats {
     /// Takes a consistent-enough snapshot for reporting.
     ///
     /// All retry stripes are read **before** any attempt stripe. Every
-    /// `retry()` is preceded by an `attempt()` on the same stripe, so
-    /// attempts read later can only be larger: a snapshot can never report
+    /// `retry()` is preceded by an `attempt()` on the same stripe (a thread
+    /// changes lane only between operations), so attempts read later can
+    /// only be larger: a snapshot can never report
     /// `retries > attempts`, no matter how many operations race with it.
     /// (Reading attempts first had exactly that torn-read bug: an
     /// attempt+retry pair landing between the two loads inflated retries
@@ -140,14 +248,6 @@ impl OpStats {
         let retries = self.retries();
         let attempts = self.attempts();
         StatsSnapshot { attempts, retries }
-    }
-
-    /// Resets both counters to zero.
-    pub fn reset(&self) {
-        for stripe in self.stripes.iter() {
-            stripe.attempts.store(0, Ordering::Relaxed);
-            stripe.retries.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -195,7 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_reset() {
+    fn snapshot_copies_the_totals() {
         let s = OpStats::new();
         s.attempt();
         s.retry();
@@ -209,9 +309,6 @@ mod tests {
         );
         assert_eq!(snap.successes(), 0);
         assert_eq!(snap.retries_per_op(), 0.0);
-        s.reset();
-        assert_eq!(s.attempts(), 0);
-        assert_eq!(s.retries(), 0);
     }
 
     #[test]

@@ -212,6 +212,80 @@ fn no_recycling_while_a_reader_is_pinned() {
     );
 }
 
+/// Nodes on the recycle path still waiting for their grace period.
+fn recycle_backlog() -> usize {
+    epoch::recycle_retired_count() - epoch::recycled_count()
+}
+
+/// Retirements are counted in a per-thread cell and only flushed into the
+/// process-wide total by a collection cycle, but the reader folds the
+/// calling thread's cell in: on the retiring thread the backlog is the bag
+/// length after every single pop, with no `flush` in between.
+#[test]
+fn retiring_thread_reads_its_own_backlog_exactly_between_collects() {
+    let _guard = serial();
+    assert!(drain_backlog(), "could not drain pre-existing garbage");
+    assert_eq!(recycle_backlog(), 0);
+
+    let stack = TreiberStack::new();
+    const N: usize = 40; // below the bag's eager-collect threshold
+    for v in 0..N {
+        stack.push(v);
+    }
+    // Pinned across the pops: every pop's own pin is nested (no collection
+    // cadence runs) and nothing retired here can expire.
+    let pinned = epoch::pin();
+    for popped in 1..=N {
+        stack.pop().expect("stack has elements");
+        assert_eq!(recycle_backlog(), popped, "one bagged node per pop");
+    }
+    drop(pinned);
+    assert!(drain_backlog(), "the bag drains once unpinned");
+}
+
+/// The thread-exit path, alone: a fresh thread retires five stack nodes
+/// without reaching a collection cadence (11 outermost pins, the cadence is
+/// 16) and exits, which flushes its retirement count and orphans its bag
+/// whole. After the join the count is fully visible, and the orphans are
+/// recycled by a collection on *this* thread — a collection skips the
+/// orphan list's lock while the list is known to be empty, so this is the
+/// other side of that shortcut: it must notice the list no longer is.
+#[test]
+fn an_exited_threads_count_is_visible_and_its_orphans_are_recycled_elsewhere() {
+    let _guard = serial();
+    assert!(drain_backlog(), "could not drain pre-existing garbage");
+    let retired = epoch::recycle_retired_count();
+    let recycled = epoch::recycled_count();
+    const N: usize = 5;
+    std::thread::spawn(|| {
+        let stack = TreiberStack::new();
+        for v in 0..N {
+            stack.push(v);
+        }
+        while stack.pop().is_some() {}
+    })
+    .join()
+    .expect("retiring thread panicked");
+
+    assert_eq!(
+        epoch::recycle_retired_count(),
+        retired + N,
+        "thread exit flushes the per-thread retirement count"
+    );
+    assert_eq!(
+        epoch::recycled_count(),
+        recycled,
+        "nothing expired before the thread exited: its bag was orphaned whole"
+    );
+    assert!(
+        collect_until(|| epoch::recycled_count() == recycled + N),
+        "orphaned nodes were never scavenged: {} recycled, expected {}",
+        epoch::recycled_count(),
+        recycled + N
+    );
+    assert_eq!(recycle_backlog(), 0);
+}
+
 /// Multi-threaded churn: concurrent producers/consumers with collection
 /// interleaved; afterwards every payload was dropped exactly once and the
 /// retired-node backlog drains to zero — the bounded-memory property the
