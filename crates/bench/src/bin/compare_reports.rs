@@ -1,111 +1,80 @@
-//! **The CI perf-regression gate.** Diffs a fresh report document against
-//! the committed baseline and exits non-zero when a gated metric regressed
-//! past the threshold (see [`lfrt_bench::gate`] for which metrics and why).
+//! **The perf gate.** Compares a child commit's `benchmark/run.sh` result
+//! lines with its parent's and exits 1 when an end-to-end metric's median is
+//! worse by more than its `BENCHMARK.json` bound, or when a comparison could
+//! not be made (see [`lfrt_bench::gate`]). A median past its bound whose
+//! runs overlap the parent's is printed as `UNRESOLVED` and does not fail.
 //!
-//! Typical CI invocation, after `paper_all --quick --json report.json`:
-//!
-//! ```text
-//! compare_reports --report report.json
-//! ```
-//!
-//! Re-baselining (after an intentional perf change; commit the result):
-//!
-//! ```text
-//! compare_reports --report report.json --write-baseline
-//! ```
-//!
-//! `--scale F` multiplies every fresh metric by `F` before comparing. It
-//! exists to prove the gate fires: `--scale 2` simulates an across-the-board
-//! 2x regression and must exit 1 (exercised in EXPERIMENTS.md and by the
-//! `gate` unit tests).
+//! Run from the root of a checkout, where `BENCHMARK.json` is; CI's
+//! `perf-gate` job shows how the two files are produced (both binaries built
+//! from one directory, alternated runs). After the table, the last stdout
+//! lines are one JSON object per workload with the child's medians, the
+//! lines `BENCH_history.jsonl` collects.
 //!
 //! Usage: `cargo run -p lfrt-bench --release --bin compare_reports --
-//! --report <path> [--baseline BENCH_baseline.json] [--threshold 0.15]
-//! [--scale 1.0] [--write-baseline]`
+//! <parent.jsonl> <child.jsonl>`
 
-use std::path::PathBuf;
+use std::process::{Command, ExitCode};
 
-use lfrt_bench::gate;
+use lfrt_bench::gate::{self, Contract};
 use lfrt_bench::json;
-use lfrt_bench::Args;
 
-fn load(path: &PathBuf, what: &str) -> json::Json {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {what} {}: {e}", path.display()));
-    json::parse(&text).unwrap_or_else(|e| panic!("parse {what} {}: {e}", path.display()))
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
 }
 
-fn main() {
-    let args = Args::from_env();
-    let report_path = PathBuf::from(args.get_str("report", "report.json"));
-    let baseline_path = PathBuf::from(args.get_str("baseline", "BENCH_baseline.json"));
-    let threshold = args.get_f64("threshold", gate::DEFAULT_THRESHOLD);
-    let scale = args.get_f64("scale", 1.0);
+fn main() -> ExitCode {
+    let paths: Vec<String> = std::env::args().skip(1).collect();
+    let [parent_path, child_path] = paths.as_slice() else {
+        eprintln!("usage: compare_reports <parent.jsonl> <child.jsonl>");
+        return ExitCode::from(2);
+    };
+    let contract = json::parse(&read("BENCHMARK.json"))
+        .map_err(|e| e.to_string())
+        .and_then(|doc| Contract::from_json(&doc))
+        .unwrap_or_else(|e| panic!("BENCHMARK.json: {e}"));
+    let runs = |path: &str, side| {
+        gate::read_runs(&read(path), side).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let (parent, child) = (runs(parent_path, "parent"), runs(child_path, "child"));
+    let outcome = gate::compare(&contract, &parent, &child);
 
-    let report = load(&report_path, "report");
-    let mut fresh = gate::extract(&report);
-    assert!(
-        !fresh.is_empty(),
-        "{}: no gated metrics found — did the run include uncontended_ops and churn_footprint?",
-        report_path.display()
-    );
-    if scale != 1.0 {
-        println!("# injecting synthetic regression: all fresh metrics x{scale}");
-        for (_, v) in &mut fresh {
-            *v *= scale;
-        }
-    }
-
-    if args.get_bool("write-baseline") {
-        let doc = gate::baseline_document(&fresh, &json::git_rev(), args.threads(), args.quick());
-        std::fs::write(&baseline_path, doc.to_string_pretty())
-            .unwrap_or_else(|e| panic!("write {}: {e}", baseline_path.display()));
-        println!(
-            "wrote baseline with {} metric(s) to {}",
-            fresh.len(),
-            baseline_path.display()
-        );
-        return;
-    }
-
-    let baseline_doc = load(&baseline_path, "baseline");
-    let baseline = gate::baseline_metrics(&baseline_doc)
-        .unwrap_or_else(|e| panic!("{}: {e}", baseline_path.display()));
-    let outcome = gate::compare(&baseline, &fresh, threshold);
-
+    let (runs, of) = (child.len(), parent.len());
+    let (child_rev, parent_rev) = (&child[0].rev, &parent[0].rev);
+    println!("# perf gate: child {child_rev} ({runs} runs) vs parent {parent_rev} ({of} runs)");
     println!(
-        "# perf gate: {} vs {} (threshold {:.0}%)",
-        report_path.display(),
-        baseline_path.display(),
-        threshold * 100.0
-    );
-    println!(
-        "{:<45} {:>12} {:>12} {:>8}",
-        "metric", "baseline", "fresh", "delta"
+        "{:<16} {:<21} {:>14} {:>14} {:>9} {:>6}",
+        "workload", "metric", "parent median", "child median", "worse by", "bound"
     );
     for row in &outcome.rows {
         println!(
-            "{:<45} {:>12.1} {:>12.1} {:>+7.1}% {}",
-            row.key,
-            row.baseline,
-            row.fresh,
-            row.delta * 100.0,
-            if row.regressed { "REGRESSED" } else { "ok" }
+            "{:<16} {:<21} {:>14.4} {:>14.4} {:>+8.1}% {:>5.0}% {}",
+            row.workload,
+            row.metric,
+            row.parent,
+            row.child,
+            row.worse_by * 100.0,
+            row.bound * 100.0,
+            row.verdict()
         );
     }
-    for key in &outcome.unbaselined {
+    for failure in &outcome.failures {
+        eprintln!("FAIL: {failure}");
+    }
+    if outcome.failures.is_empty() {
+        let verdicts = outcome.rows.iter().map(gate::Row::verdict);
         println!(
-            "{key:<45} {:>12} (new metric — re-baseline to start gating it)",
-            "-"
+            "PASS: no end-to-end metric is worse than its bound in every run; {} UNRESOLVED",
+            verdicts.filter(|&verdict| verdict == "UNRESOLVED").count()
         );
     }
 
-    if outcome.failures.is_empty() {
-        println!("PASS: no gated metric regressed past the threshold");
-    } else {
-        for failure in &outcome.failures {
-            eprintln!("FAIL: {failure}");
-        }
-        std::process::exit(1);
+    let date = Command::new("date").args(["-u", "+%F"]).output().ok();
+    let date = date.and_then(|out| String::from_utf8(out.stdout).ok());
+    let date = date.map_or("unknown".to_string(), |date| date.trim().to_string());
+    let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let metrics = contract.metrics.len();
+    for line in gate::history_lines(&outcome, metrics, &child, &date, nproc) {
+        println!("{line}");
     }
+    ExitCode::from(u8::from(!outcome.failures.is_empty()))
 }

@@ -5,11 +5,11 @@
 //! The shared runner flags pass straight through: `--quick` and
 //! `--threads N` are forwarded to every child, and `--json <path>` makes
 //! each child write its own report to a scratch directory, after which the
-//! reports are merged into one document (15 `experiments` entries — figures
-//! 8, 9, 10–13, 14a/14b, the five tables, plus the `uncontended_ops` and
-//! `churn_footprint` points the CI perf gate consumes) at `<path>`. The
-//! merged document keeps each child's deterministic payload byte-for-byte,
-//! so the `--threads 1` vs `--threads 8` identity check works on it too.
+//! reports are merged into one document (14 `experiments` entries — figures
+//! 8, 9, 10–13, 14a/14b, the five tables, plus `churn_footprint`) at
+//! `<path>`. The merged document keeps each child's deterministic payload
+//! byte-for-byte, so the `--threads 1` vs `--threads 8` identity check works
+//! on it too.
 //!
 //! `--trace <path>` likewise hands every child its own flight-recorder
 //! destination (see `lfrt_bench::trace`) and merges the per-child trace
@@ -46,7 +46,6 @@ fn main() {
         ("taxonomy_table", &[]),
         ("crash_starvation", &[]),
         ("mp_scaling", &[]),
-        ("uncontended_ops", &[]),
         ("churn_footprint", &[]),
     ];
 

@@ -1,362 +1,311 @@
-//! The CI perf-regression gate: extracts the few metrics that are honest on
-//! a 1-CPU CI runner from a full report document, compares them against a
-//! committed baseline (`BENCH_baseline.json`), and fails past a threshold.
+//! The perf gate: a parent commit's `benchmark/run.sh` result lines against
+//! a child's, judged by `BENCHMARK.json` and nothing else.
 //!
-//! **Gated metrics** (see ISSUE/EXPERIMENTS for why exactly these):
+//! `BENCHMARK.json` is the only source of what is compared: its `workloads`
+//! × its `end_to_end` metrics, each metric's `better` direction and the
+//! `bound` by which the child's median may be worse than the parent's. No
+//! name, direction or number is repeated here.
 //!
-//! * `uncontended_ops/<structure>/ns_per_op_median` — single-threaded
-//!   median cost per operation for each lock-free structure. Uncontended
-//!   numbers are stable on one CPU; contended deltas are not observable
-//!   there and are deliberately *not* gated.
-//! * `churn_footprint/peak_growth_bytes` — peak live heap growth of the
-//!   allocation-churn workload: the reclamation regression canary.
-//! * `churn_footprint/pool_churn/<structure>/allocs_per_op` — steady-state
-//!   allocator calls per push+pop pair, pooled and boxed (PR 9). Values are
-//!   floored at [`ALLOCS_PER_OP_FLOOR`] on extraction: the pooled rates sit
-//!   at ~0.0 where relative deltas are meaningless jitter, so the gate
-//!   compares against the floor and only a real regression (a pooled
-//!   structure re-heating the allocator toward the boxed ~1.0) trips it.
-//!
-//! The baseline file is a small standalone document:
+//! Each side is a JSONL file with one record per run,
 //!
 //! ```text
-//! {
-//!   "schema_version": 1,
-//!   "kind": "lfrt-bench-baseline",
-//!   "meta": { "git_rev": "...", "threads": N, "quick": bool },
-//!   "gate_metrics": { "<key>": <value>, ... }
-//! }
+//! {"workload": "obj_uncontended", "side": "parent", "rev": "7f2ea019c246", "result": <the program's last stdout line, or null>}
 //! ```
 //!
-//! written by `compare_reports --write-baseline` (the re-baseline
-//! workflow; see README). Comparison is asymmetric on purpose: only
-//! *worse* (larger) values past the threshold fail; improvements and
-//! metrics present only in the fresh report are reported but pass — adding
-//! a structure must not break CI before the baseline catches up. A metric
-//! present in the baseline but missing from the fresh report **fails**:
-//! silently losing coverage is itself a regression.
+//! and the verdict is worse-only: an improvement of any size passes, a
+//! median exactly at its bound passes, one step past it fails. Everything
+//! that would make a comparison vacuous fails too, with the workload and the
+//! metric named: a run that printed no result line, a metric that is missing
+//! or not a finite number on either side, a workload with no run, a run whose
+//! own checks failed (`correct` false or `failed` > 0).
+//!
+//! One case is reported and does not fail: a median past its bound while
+//! some child run is no worse than some parent run (`UNRESOLVED`). That is
+//! what one binary measured against itself looks like on a loud host; in
+//! EXPERIMENTS.md "The perf gate" every same-binary alarm overlapped and no
+//! row of a real 35 % regression did. The bound is not moved.
 
-use crate::json::Json;
+use crate::json::{parse, Json};
 
-/// Relative-regression threshold the gate defaults to: 15% worse fails.
-pub const DEFAULT_THRESHOLD: f64 = 0.15;
-
-/// Extraction floor for the `allocs_per_op` metrics (see module docs).
-pub const ALLOCS_PER_OP_FLOOR: f64 = 0.05;
-
-/// Flat `key -> value` view of the gated metrics of a document.
-pub type Metrics = Vec<(String, f64)>;
-
-/// Pulls the gated metrics out of a full report document (the
-/// `paper_all --json` / single-binary `--json` format).
-pub fn extract(doc: &Json) -> Metrics {
-    let mut out = Metrics::new();
-    let Some(experiments) = doc.get("experiments").and_then(Json::as_array) else {
-        return out;
-    };
-    for exp in experiments {
-        let name = exp.get("experiment").and_then(Json::as_str).unwrap_or("");
-        let Some(points) = exp.get("points").and_then(Json::as_array) else {
-            continue;
-        };
-        match name {
-            "uncontended_ops" => {
-                for point in points {
-                    let structure = point
-                        .get("params")
-                        .and_then(|p| p.get("structure"))
-                        .and_then(Json::as_str);
-                    let median = point
-                        .get("timing")
-                        .and_then(|t| t.get("ns_per_op_median"))
-                        .and_then(Json::as_f64);
-                    if let (Some(structure), Some(median)) = (structure, median) {
-                        out.push((format!("{name}/{structure}/ns_per_op_median"), median));
-                    }
-                }
-            }
-            "churn_footprint" => {
-                for point in points {
-                    if let Some(peak) = point
-                        .get("timing")
-                        .and_then(|t| t.get("peak_growth_bytes"))
-                        .and_then(Json::as_f64)
-                    {
-                        out.push((format!("{name}/peak_growth_bytes"), peak));
-                    }
-                    let row = point
-                        .get("params")
-                        .and_then(|p| p.get("pool_churn"))
-                        .and_then(Json::as_str);
-                    let apo = point
-                        .get("timing")
-                        .and_then(|t| t.get("allocs_per_op"))
-                        .and_then(Json::as_f64);
-                    if let (Some(row), Some(apo)) = (row, apo) {
-                        out.push((
-                            format!("{name}/pool_churn/{row}/allocs_per_op"),
-                            apo.max(ALLOCS_PER_OP_FLOOR),
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+/// One `end_to_end` entry of `BENCHMARK.json`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Metric {
+    /// The name the program prints it under.
+    pub name: String,
+    /// `"better": "higher"` (otherwise lower is better).
+    pub higher_is_better: bool,
+    /// Share of the parent's median by which the child may be worse.
+    pub bound: f64,
 }
 
-/// Parses the committed baseline document into its gated metrics.
+/// What `BENCHMARK.json` says the gate compares.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Contract {
+    /// Workload names, in file order.
+    pub workloads: Vec<String>,
+    /// End-to-end metrics, in file order.
+    pub metrics: Vec<Metric>,
+}
+
+impl Contract {
+    /// Reads the `workloads` and `end_to_end` arrays of a parsed
+    /// `BENCHMARK.json`.
+    ///
+    /// # Errors
+    ///
+    /// Names the member that is missing or has the wrong type.
+    pub fn from_json(doc: &Json) -> Result<Self, String> {
+        let array = |key: &str| {
+            let items = doc.get(key).and_then(Json::as_array);
+            items.ok_or_else(|| format!("BENCHMARK.json has no {key} array"))
+        };
+        let name = |item: &Json| {
+            let name = item.get("name").and_then(Json::as_str);
+            name.map(str::to_string)
+                .ok_or_else(|| format!("BENCHMARK.json entry without a name: {item:?}"))
+        };
+        let workloads = array("workloads")?
+            .iter()
+            .map(name)
+            .collect::<Result<_, _>>()?;
+        let mut metrics = Vec::new();
+        for item in array("end_to_end")? {
+            let name = name(item)?;
+            let higher_is_better = match item.get("better").and_then(Json::as_str) {
+                Some("higher") => true,
+                Some("lower") => false,
+                other => return Err(format!("{name}: better is {other:?}, not higher/lower")),
+            };
+            let bound = item.get("bound").and_then(Json::as_f64);
+            let bound = bound.ok_or_else(|| format!("{name}: no numeric bound"))?;
+            metrics.push(Metric {
+                name,
+                higher_is_better,
+                bound,
+            });
+        }
+        Ok(Self { workloads, metrics })
+    }
+}
+
+/// One benchmark run of one side.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Run {
+    /// The `--workload` it measured.
+    pub workload: String,
+    /// The commit the measured binary was built from.
+    pub rev: String,
+    /// Its result line; `Json::Null` when the program printed none.
+    pub result: Json,
+}
+
+/// Parses one side's JSONL file; every record must carry `side`, so two
+/// swapped paths cannot turn regressions into improvements.
 ///
 /// # Errors
 ///
-/// Returns a description of what is malformed.
-pub fn baseline_metrics(doc: &Json) -> Result<Metrics, String> {
-    if doc.get("kind").and_then(Json::as_str) != Some("lfrt-bench-baseline") {
-        return Err("not a baseline document (missing kind = lfrt-bench-baseline)".into());
+/// Names the line that is not a record of this side, or says that there is
+/// no record at all.
+pub fn read_runs(text: &str, side: &str) -> Result<Vec<Run>, String> {
+    let mut runs = Vec::new();
+    let lines = text.lines().enumerate();
+    for (index, line) in lines.filter(|(_, line)| !line.trim().is_empty()) {
+        // Rust prints a non-finite f64 as `NaN` / `inf`, for which JSON has
+        // no token. Read them as null, so that the metric fails by name
+        // instead of the whole file failing to parse.
+        let line = line
+            .replace(": NaN", ": null")
+            .replace(": inf", ": null")
+            .replace(": -inf", ": null");
+        let at = format!("{side} runs, line {}", index + 1);
+        let record = parse(&line).map_err(|e| format!("{at}: {e}"))?;
+        let text = |key: &str| {
+            let member = record.get(key).and_then(Json::as_str);
+            member.ok_or_else(|| format!("{at}: no {key}"))
+        };
+        let (workload, rev) = (text("workload")?, text("rev")?);
+        if record.get("side").and_then(Json::as_str) != Some(side) {
+            return Err(format!("{at}: not a record of the {side} side"));
+        }
+        runs.push(Run {
+            workload: workload.to_string(),
+            rev: rev.to_string(),
+            result: record.get("result").cloned().unwrap_or(Json::Null),
+        });
     }
-    let Some(Json::Obj(fields)) = doc.get("gate_metrics") else {
-        return Err("baseline document has no gate_metrics object".into());
-    };
-    fields
-        .iter()
-        .map(|(k, v)| {
-            v.as_f64()
-                .map(|v| (k.clone(), v))
-                .ok_or_else(|| format!("gate metric {k} is not a number"))
-        })
-        .collect()
+    if runs.is_empty() {
+        return Err(format!("{side} runs: no record"));
+    }
+    Ok(runs)
 }
 
-/// Renders the baseline document for `metrics` (the `--write-baseline`
-/// output).
-pub fn baseline_document(metrics: &Metrics, git_rev: &str, threads: usize, quick: bool) -> Json {
-    Json::Obj(vec![
-        ("schema_version".into(), 1u64.into()),
-        ("kind".into(), "lfrt-bench-baseline".into()),
-        (
-            "meta".into(),
-            Json::Obj(vec![
-                ("generator".into(), "lfrt-bench".into()),
-                ("git_rev".into(), git_rev.into()),
-                ("threads".into(), threads.into()),
-                ("quick".into(), quick.into()),
-            ]),
-        ),
-        (
-            "gate_metrics".into(),
-            Json::Obj(
-                metrics
-                    .iter()
-                    .map(|(k, v)| (k.clone(), (*v).into()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// One gate comparison row.
+/// One judged (workload, metric) pair.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
-    /// Metric key (`experiment/point/metric`).
-    pub key: String,
-    /// Committed baseline value.
-    pub baseline: f64,
-    /// Freshly measured value (after any `--scale` injection).
-    pub fresh: f64,
-    /// `(fresh - baseline) / baseline`; positive is worse.
-    pub delta: f64,
-    /// Whether this row alone fails the gate.
-    pub regressed: bool,
+    /// Workload name.
+    pub workload: String,
+    /// Metric name.
+    pub metric: String,
+    /// Median over the parent's runs.
+    pub parent: f64,
+    /// Median over the child's runs.
+    pub child: f64,
+    /// Change in the metric's bad direction as a share of `parent`;
+    /// negative is an improvement.
+    pub worse_by: f64,
+    /// The metric's bound.
+    pub bound: f64,
+    /// Some child run is no worse than some parent run.
+    pub overlap: bool,
+}
+
+impl Row {
+    /// `REGRESSED`, which alone fails the gate: the median is past the bound
+    /// and every child run is worse than every parent run. `UNRESOLVED`,
+    /// which is only reported: past the bound, but the runs overlap.
+    pub fn verdict(&self) -> &'static str {
+        match (self.worse_by > self.bound, self.overlap) {
+            (false, _) => "ok",
+            (true, false) => "REGRESSED",
+            (true, true) => "UNRESOLVED",
+        }
+    }
 }
 
 /// Result of one gate run.
 #[derive(Debug, Clone, Default)]
 pub struct Outcome {
-    /// Per-metric comparisons, in baseline order.
+    /// One row per workload × metric whose two medians exist, in
+    /// `BENCHMARK.json` order.
     pub rows: Vec<Row>,
-    /// Metrics in the fresh report with no baseline (pass, but should
-    /// prompt a re-baseline).
-    pub unbaselined: Vec<String>,
-    /// Failures: regressed rows and baseline metrics missing from the
-    /// fresh report. Empty means the gate passes.
+    /// Why the gate fails; empty means it passes.
     pub failures: Vec<String>,
 }
 
-/// Compares fresh metrics against the baseline at `threshold` (relative).
-pub fn compare(baseline: &Metrics, fresh: &Metrics, threshold: f64) -> Outcome {
-    let mut out = Outcome::default();
-    for (key, base) in baseline {
-        let Some((_, measured)) = fresh.iter().find(|(k, _)| k == key) else {
-            out.failures.push(format!(
-                "{key}: present in baseline but missing from report"
-            ));
-            continue;
-        };
-        let delta = if *base != 0.0 {
-            (measured - base) / base
-        } else if *measured == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY
-        };
-        let regressed = delta > threshold;
-        if regressed {
-            out.failures.push(format!(
-                "{key}: {measured:.2} vs baseline {base:.2} (+{:.1}% > {:.0}% threshold)",
-                delta * 100.0,
-                threshold * 100.0
-            ));
+/// `metric` in every one of `runs`' runs of `workload`, ascending, or why a
+/// value is not there.
+fn values(runs: &[Run], workload: &str, metric: &str) -> Result<Vec<f64>, String> {
+    let mut values = Vec::new();
+    for run in runs.iter().filter(|run| run.workload == workload) {
+        let entry = run.result.get("metrics").and_then(|m| m.get(metric));
+        match entry.and_then(|m| m.get("value")).and_then(Json::as_f64) {
+            Some(value) if value.is_finite() => values.push(value),
+            Some(value) => return Err(format!("is {value} in a run")),
+            None => return Err("is missing or not a number in a run".into()),
         }
-        out.rows.push(Row {
-            key: key.clone(),
-            baseline: *base,
-            fresh: *measured,
-            delta,
-            regressed,
-        });
     }
-    for (key, _) in fresh {
-        if !baseline.iter().any(|(k, _)| k == key) {
-            out.unbaselined.push(key.clone());
+    if values.is_empty() {
+        return Err("has no run".into());
+    }
+    values.sort_by(f64::total_cmp);
+    Ok(values)
+}
+
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
+}
+
+/// Judges the child's runs against the parent's.
+pub fn compare(contract: &Contract, parent: &[Run], child: &[Run]) -> Outcome {
+    let mut out = Outcome::default();
+    for (side, runs) in [("parent", parent), ("child", child)] {
+        for run in runs {
+            let workload = &run.workload;
+            if !contract.workloads.contains(workload) {
+                out.failures.push(format!(
+                    "{workload}: a {side} run of a workload BENCHMARK.json does not declare"
+                ));
+            }
+            let correct = run.result.get("correct") == Some(&Json::Bool(true));
+            let failed = run.result.get("failed").and_then(Json::as_f64);
+            if run.result != Json::Null && !(correct && failed == Some(0.0)) {
+                out.failures.push(format!(
+                    "{workload}: a {side} run failed its own checks (correct {correct}, failed {failed:?})"
+                ));
+            }
+        }
+    }
+    for workload in &contract.workloads {
+        for metric in &contract.metrics {
+            let sides = [("parent", parent), ("child", child)].map(|(side, runs)| {
+                values(runs, workload, &metric.name)
+                    .map_err(|why| format!("{workload} {}: {side} {why}", metric.name))
+            });
+            let (parents, children) = match sides {
+                [Ok(parents), Ok(children)] => (parents, children),
+                sides => {
+                    out.failures
+                        .extend(sides.into_iter().filter_map(Result::err));
+                    continue;
+                }
+            };
+            let (parent, child) = (median(&parents), median(&children));
+            // Sorted ascending: the child's best run against the parent's worst.
+            let (worse, overlap) = if metric.higher_is_better {
+                (parent - child, children[children.len() - 1] >= parents[0])
+            } else {
+                (child - parent, children[0] <= parents[parents.len() - 1])
+            };
+            let row = Row {
+                workload: workload.clone(),
+                metric: metric.name.clone(),
+                parent,
+                child,
+                // 0 -> 0 is no change; 0 -> anything worse is infinitely worse.
+                worse_by: if worse == 0.0 {
+                    0.0
+                } else {
+                    worse / parent.abs()
+                },
+                bound: metric.bound,
+                overlap,
+            };
+            if row.verdict() == "REGRESSED" {
+                out.failures.push(format!(
+                    "{workload} {}: child {child} vs parent {parent} is {:+.1}% worse, bound {:.0}%",
+                    metric.name,
+                    row.worse_by * 100.0,
+                    metric.bound * 100.0
+                ));
+            }
+            out.rows.push(row);
         }
     }
     out
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::json::parse;
-
-    fn report_doc(stack_ns: f64, peak: f64) -> Json {
-        parse(&format!(
-            r#"{{
-              "schema_version": 1,
-              "meta": {{"generator": "lfrt-bench"}},
-              "experiments": [
-                {{
-                  "experiment": "uncontended_ops",
-                  "figure": "table:uncontended",
-                  "title": "t",
-                  "config": {{}},
-                  "points": [
-                    {{"params": {{"structure": "stack"}}, "seeds": [], "metrics": {{}},
-                      "timing": {{"ns_per_op_median": {stack_ns}}}}}
-                  ]
-                }},
-                {{
-                  "experiment": "churn_footprint",
-                  "figure": "table:churn",
-                  "title": "t",
-                  "config": {{}},
-                  "points": [
-                    {{"params": {{"threads": 4}}, "seeds": [], "metrics": {{}},
-                      "timing": {{"peak_growth_bytes": {peak}}}}},
-                    {{"params": {{"pool_churn": "stack_pooled"}}, "seeds": [], "metrics": {{}},
-                      "timing": {{"allocs_per_op": 0.0}}}},
-                    {{"params": {{"pool_churn": "stack_boxed"}}, "seeds": [], "metrics": {{}},
-                      "timing": {{"allocs_per_op": 1.0}}}}
-                  ]
-                }}
-              ]
-            }}"#
-        ))
-        .expect("valid test doc")
-    }
-
-    #[test]
-    fn extracts_the_two_gated_experiments() {
-        let metrics = extract(&report_doc(27.5, 400000.0));
-        assert_eq!(
-            metrics,
-            vec![
-                ("uncontended_ops/stack/ns_per_op_median".to_string(), 27.5),
-                ("churn_footprint/peak_growth_bytes".to_string(), 400000.0),
-                (
-                    // Floored: the measured 0.0 compares as the floor so
-                    // near-zero jitter cannot divide by zero or explode.
-                    "churn_footprint/pool_churn/stack_pooled/allocs_per_op".to_string(),
-                    ALLOCS_PER_OP_FLOOR,
-                ),
-                (
-                    "churn_footprint/pool_churn/stack_boxed/allocs_per_op".to_string(),
-                    1.0,
-                ),
-            ]
-        );
-    }
-
-    #[test]
-    fn pooled_allocs_regression_to_boxed_rates_fails_the_gate() {
-        let base = extract(&report_doc(27.5, 400000.0));
-        let mut fresh = base.clone();
-        // The pool stops recycling: pooled allocs/op jumps to the boxed ~1.0.
-        for (k, v) in &mut fresh {
-            if k.ends_with("stack_pooled/allocs_per_op") {
-                *v = 1.0;
-            }
-        }
-        let outcome = compare(&base, &fresh, DEFAULT_THRESHOLD);
-        assert_eq!(outcome.failures.len(), 1);
-        assert!(outcome.failures[0].contains("stack_pooled/allocs_per_op"));
-    }
-
-    #[test]
-    fn baseline_roundtrips_through_its_document() {
-        let metrics = extract(&report_doc(27.5, 400000.0));
-        let doc = baseline_document(&metrics, "abc", 4, true);
-        let parsed = parse(&doc.to_string_pretty()).expect("baseline parses");
-        assert_eq!(baseline_metrics(&parsed).expect("well-formed"), metrics);
-        // A full report is not a baseline.
-        assert!(baseline_metrics(&report_doc(1.0, 1.0)).is_err());
-    }
-
-    #[test]
-    fn within_threshold_passes_and_improvement_passes() {
-        let base = extract(&report_doc(27.5, 400000.0));
-        let fresh = extract(&report_doc(29.0, 200000.0)); // +5.5%, -50%
-        let outcome = compare(&base, &fresh, DEFAULT_THRESHOLD);
-        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert_eq!(outcome.rows.len(), 4);
-        assert!(!outcome.rows[0].regressed);
-    }
-
-    #[test]
-    fn injected_2x_regression_fails() {
-        let base = extract(&report_doc(27.5, 400000.0));
-        let fresh = extract(&report_doc(55.0, 400000.0)); // 2x slower stack
-        let outcome = compare(&base, &fresh, DEFAULT_THRESHOLD);
-        assert_eq!(outcome.failures.len(), 1);
-        assert!(outcome.failures[0].contains("uncontended_ops/stack"));
-        assert!(outcome.rows[0].regressed);
-    }
-
-    #[test]
-    fn missing_metric_fails_but_new_metric_passes() {
-        let base = vec![
-            ("uncontended_ops/stack/ns_per_op_median".to_string(), 27.5),
-            ("uncontended_ops/gone/ns_per_op_median".to_string(), 10.0),
-        ];
-        let fresh = vec![
-            ("uncontended_ops/stack/ns_per_op_median".to_string(), 27.0),
-            ("uncontended_ops/new/ns_per_op_median".to_string(), 5.0),
-        ];
-        let outcome = compare(&base, &fresh, DEFAULT_THRESHOLD);
-        assert_eq!(outcome.failures.len(), 1);
-        assert!(outcome.failures[0].contains("gone"));
-        assert_eq!(
-            outcome.unbaselined,
-            vec!["uncontended_ops/new/ns_per_op_median".to_string()]
-        );
-    }
-
-    #[test]
-    fn zero_baseline_edge_cases() {
-        let base = vec![("churn_footprint/peak_growth_bytes".to_string(), 0.0)];
-        let ok = vec![("churn_footprint/peak_growth_bytes".to_string(), 0.0)];
-        assert!(compare(&base, &ok, DEFAULT_THRESHOLD).failures.is_empty());
-        let bad = vec![("churn_footprint/peak_growth_bytes".to_string(), 1.0)];
-        assert_eq!(compare(&base, &bad, DEFAULT_THRESHOLD).failures.len(), 1);
-    }
+/// One line per workload for `BENCH_history.jsonl`: which commit the child's
+/// binary was built from (its runs' `rev`), when and where it was measured,
+/// and its medians. A workload with a median missing gets no line.
+pub fn history_lines(
+    outcome: &Outcome,
+    metrics: usize,
+    child: &[Run],
+    date: &str,
+    nproc: usize,
+) -> Vec<String> {
+    let workloads = outcome.rows.chunk_by(|a, b| a.workload == b.workload);
+    let complete = workloads.filter(|rows| rows.len() == metrics);
+    let line = |rows: &[Row]| {
+        let workload = &rows[0].workload;
+        let run = child.iter().find(|run| &run.workload == workload);
+        let rev = run.map_or("unknown", |run| run.rev.as_str());
+        let medians: Vec<String> = rows
+            .iter()
+            .map(|row| format!("\"{}\": {}", row.metric, row.child))
+            .collect();
+        // The program takes every end-to-end timing with the recorder off
+        // and asserts it; there is no other state a result line can be in.
+        format!(
+            "{{\"rev\": \"{rev}\", \"date\": \"{date}\", \"nproc\": {nproc}, \"recorder\": \"off\", \
+             \"source\": \"gate\", \"workload\": \"{workload}\", \"metrics\": {{{}}}}}",
+            medians.join(", ")
+        )
+    };
+    complete.map(line).collect()
 }

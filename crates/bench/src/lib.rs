@@ -2,7 +2,8 @@
 //! plain-text table rendering, the CLI-flag parser (re-exported from the
 //! `lfrt-json` leaf crate, like the `Json` value), a parallel sweep
 //! runner with deterministic result merging, machine-readable JSON reports,
-//! and synthetic scheduler contexts for the cost ablations.
+//! synthetic scheduler contexts for the cost ablations, and the perf gate's
+//! comparator ([`gate`]).
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
 //! paper's evaluation; see `DESIGN.md` §5 for the experiment index and

@@ -94,7 +94,7 @@ fn hist_fields(prefix: &str, h: &lfrt_trace::Histogram) -> Vec<(String, Json)> {
 /// `<experiment>_trace`: a `drain` accounting point, one point per event
 /// kind, and one per instrumentation site with completed operations. All
 /// numbers live under `timing` (they are host wall-clock by nature).
-pub fn report_from_snapshot(experiment: &str, snap: &TraceSnapshot) -> Report {
+fn report_from_snapshot(experiment: &str, snap: &TraceSnapshot) -> Report {
     let mut report = Report::new(
         format!("{experiment}_trace"),
         "trace",
