@@ -132,8 +132,9 @@ fn churn(threads: usize, ops: usize) -> (usize, usize) {
 }
 
 /// Steady-state allocator calls per operation: run `warmup` push/pop pairs
-/// to heat the pool's per-thread cache (the epoch collector runs every 16
-/// pins, recycling retired nodes back into it), then count allocator calls
+/// to heat the pool's per-thread cache (each pop recycles up to two
+/// expired nodes back into it, two epoch advances after they were retired),
+/// then count allocator calls
 /// across `pairs` more. One "op" is one push+pop pair — one node lifecycle
 /// — so the boxed baseline lands at ~1.0 and the warm pool at ~0.0.
 fn steady_state_allocs(warmup: usize, pairs: usize, mut pair: impl FnMut(u64)) -> f64 {

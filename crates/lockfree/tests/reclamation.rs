@@ -14,11 +14,12 @@
 //! global `retired`/`destroyed`/`recycle_retired`/`recycled` telemetry.
 //! Because those counters are process-global, every test here serializes on
 //! [`serial`]. Forward progress of the collector is driven explicitly with
-//! `epoch::pin().flush()` cycles — production code gets the same effect
-//! amortized over ordinary pins.
+//! `epoch::pin().flush()` cycles — production code gets the same effect a
+//! constant amount at a time: each retirement reclaims at most two expired
+//! nodes, and the epoch advances on a cadence of ordinary pins.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 use crossbeam::epoch;
 use lfrt_lockfree::{LockFreeList, LockFreeQueue, TreiberStack};
@@ -218,7 +219,7 @@ fn recycle_backlog() -> usize {
 }
 
 /// Retirements are counted in a per-thread cell and only flushed into the
-/// process-wide total by a collection cycle, but the reader folds the
+/// process-wide total by an advance attempt, but the reader folds the
 /// calling thread's cell in: on the retiring thread the backlog is the bag
 /// length after every single pop, with no `flush` in between.
 #[test]
@@ -228,11 +229,11 @@ fn retiring_thread_reads_its_own_backlog_exactly_between_collects() {
     assert_eq!(recycle_backlog(), 0);
 
     let stack = TreiberStack::new();
-    const N: usize = 40; // below the bag's eager-collect threshold
+    const N: usize = 40; // below the retirement cadence of an advance attempt
     for v in 0..N {
         stack.push(v);
     }
-    // Pinned across the pops: every pop's own pin is nested (no collection
+    // Pinned across the pops: every pop's own pin is nested (no pin
     // cadence runs) and nothing retired here can expire.
     let pinned = epoch::pin();
     for popped in 1..=N {
@@ -244,10 +245,10 @@ fn retiring_thread_reads_its_own_backlog_exactly_between_collects() {
 }
 
 /// The thread-exit path, alone: a fresh thread retires five stack nodes
-/// without reaching a collection cadence (11 outermost pins, the cadence is
-/// 16) and exits, which flushes its retirement count and orphans its bag
+/// without reaching an advance cadence (11 outermost pins, the cadence is
+/// 128) and exits, which flushes its retirement count and orphans its bag
 /// whole. After the join the count is fully visible, and the orphans are
-/// recycled by a collection on *this* thread — a collection skips the
+/// recycled by an advance attempt on *this* thread — an attempt skips the
 /// orphan list's lock while the list is known to be empty, so this is the
 /// other side of that shortcut: it must notice the list no longer is.
 #[test]
@@ -284,6 +285,112 @@ fn an_exited_threads_count_is_visible_and_its_orphans_are_recycled_elsewhere() {
         recycled + N
     );
     assert_eq!(recycle_backlog(), 0);
+}
+
+/// The collector's private constants, restated: one retirement reclaims at
+/// most two expired nodes, and an unblocked thread attempts an advance every
+/// 64 retirements. A backlog of `n` needs its two advances — at most two
+/// cadences — and then `n / 2` retirements.
+fn retirements_to_drain(n: usize) -> usize {
+    n / 2 + 2 * 64
+}
+
+/// Push/pop pairs on a fresh stack — one retirement each, no `flush` —
+/// until `recycled_count()` reaches `target`. Returns the pairs it took
+/// (giving up, for the caller's bound to fail, at a million).
+fn pairs_until_recycled(target: usize) -> usize {
+    let stack = TreiberStack::new();
+    let mut pairs = 0;
+    while epoch::recycled_count() < target && pairs < 1_000_000 {
+        stack.push(pairs);
+        assert_eq!(stack.pop(), Some(pairs));
+        pairs += 1;
+    }
+    pairs
+}
+
+/// The blocked epoch: a second thread parks while pinned (channels, no
+/// sleeps), so the epoch can advance once and never twice. The retiring
+/// thread must neither reclaim anything early — its backlog equals its
+/// retirements exactly — nor stop: every operation completes, whatever the
+/// bag holds. Once the straggler unpins, ordinary operations with no
+/// `flush` recycle the whole blocked backlog, oldest first, within
+/// [`retirements_to_drain`].
+#[test]
+fn a_parked_pinned_straggler_delays_reclamation_but_never_an_operation() {
+    let _guard = serial();
+    assert!(drain_backlog(), "could not drain pre-existing garbage");
+    assert_eq!(recycle_backlog(), 0);
+    let recycled = epoch::recycled_count();
+
+    let (pinned_tx, pinned_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel();
+    let straggler = std::thread::spawn(move || {
+        let pinned = epoch::pin();
+        pinned_tx.send(()).expect("test thread gone");
+        release_rx.recv().expect("test thread gone");
+        drop(pinned);
+    });
+    pinned_rx.recv().expect("straggler panicked");
+
+    const N: usize = 1_000; // well past the collector's high-water mark
+    let stack = TreiberStack::new();
+    for op in 1..=N {
+        stack.push(op);
+        assert_eq!(stack.pop(), Some(op), "a blocked epoch delays no operation");
+        assert_eq!(recycle_backlog(), op, "nothing retired here may expire");
+    }
+    assert_eq!(epoch::recycled_count(), recycled);
+
+    release_tx.send(()).expect("straggler gone");
+    straggler.join().expect("straggler panicked");
+    let pairs = pairs_until_recycled(recycled + N);
+    assert!(
+        pairs <= retirements_to_drain(N),
+        "the blocked backlog of {N} took {pairs} further operations to drain"
+    );
+}
+
+/// One pin, many retirements: `dequeue_batch`/`pop_n` retire a node per
+/// element under a single guard, which pins the thread in their retirement
+/// epoch — the whole batch stays bagged. Later pairs drain it with no
+/// `flush`, within [`retirements_to_drain`].
+#[test]
+fn a_batch_under_one_pin_leaves_a_backlog_that_later_pairs_drain() {
+    let _guard = serial();
+    const N: usize = 10_000;
+
+    assert!(drain_backlog(), "could not drain pre-existing garbage");
+    let recycled = epoch::recycled_count();
+    let queue = LockFreeQueue::new();
+    queue.enqueue_batch(0..N);
+    assert_eq!(queue.dequeue_batch(N).len(), N);
+    assert_eq!(
+        recycle_backlog(),
+        N,
+        "a batch reclaims none of its own nodes"
+    );
+    let pairs = pairs_until_recycled(recycled + N);
+    assert!(
+        pairs <= retirements_to_drain(N),
+        "dequeue_batch({N})'s backlog took {pairs} pairs to drain"
+    );
+
+    assert!(drain_backlog(), "could not drain the pairs' own garbage");
+    let recycled = epoch::recycled_count();
+    let stack = TreiberStack::new();
+    stack.push_n(0..N);
+    assert_eq!(stack.pop_n(N).len(), N);
+    assert_eq!(
+        recycle_backlog(),
+        N,
+        "a batch reclaims none of its own nodes"
+    );
+    let pairs = pairs_until_recycled(recycled + N);
+    assert!(
+        pairs <= retirements_to_drain(N),
+        "pop_n({N})'s backlog took {pairs} pairs to drain"
+    );
 }
 
 /// Multi-threaded churn: concurrent producers/consumers with collection
