@@ -3,7 +3,7 @@
 
 use std::ops::Range;
 
-use lfrt_sim::{JobId, SchedulerContext};
+use lfrt_sim::{JobId, SchedulerContext, SimTime};
 
 use crate::ops::OpsCounter;
 use crate::pud::chain_pud;
@@ -36,10 +36,62 @@ pub(crate) struct Construction {
     /// first within a chain.
     pub members: Vec<usize>,
     /// The schedule accepted so far.
-    pub schedule: TentativeSchedule,
-    /// The copy each examined chain is tried on; swapped with `schedule`
-    /// when the insertion is kept.
-    pub tentative: TentativeSchedule,
+    schedule: TentativeSchedule,
+    /// The copy [`Construction::build_schedule`] tries each chain on;
+    /// swapped with `schedule` when the insertion is kept.
+    tentative: TentativeSchedule,
+    /// Per context position: the [`Construction::build_schedule`] call
+    /// that last put the job in `schedule`. Stamps instead of flags, so a
+    /// call never has to clear them.
+    scheduled: Vec<usize>,
+    /// Calls of [`Construction::build_schedule`] so far.
+    builds: usize,
+    /// Per `schedule` entry: when [`Construction::admit_in_place`] has it
+    /// complete if the schedule runs from `now`.
+    completions: Vec<SimTime>,
+}
+
+/// One singleton chain's job, about to be tried where it lands in ECF order.
+/// An admission test decides from this whether the job is kept, and charges
+/// what it looked at.
+#[derive(Debug)]
+pub(crate) struct Candidate<'a> {
+    /// The schedule as it stands, without the new entry.
+    pub entries: &'a [Entry],
+    /// When each of `entries` completes.
+    completions: &'a [SimTime],
+    /// Where the new entry goes; the entries from here on are behind it.
+    pub pos: usize,
+    /// The new entry.
+    pub entry: Entry,
+    /// When the new entry would complete.
+    completion: SimTime,
+}
+
+impl Candidate<'_> {
+    /// Whether the new entry itself completes by its critical time.
+    pub fn fits(&self) -> bool {
+        self.completion <= self.entry.effective_critical_time
+    }
+
+    /// Whether the entry at `index`, one behind the insertion point, would
+    /// complete after its critical time once the new entry delays it.
+    pub fn delays_past_critical(&self, index: usize) -> bool {
+        self.completions[index] + self.entry.remaining > self.entries[index].effective_critical_time
+    }
+
+    /// The first entry behind the insertion point that the new entry would
+    /// push past its critical time.
+    pub fn first_miss_behind(&self) -> Option<usize> {
+        // Zipped, not `delays_past_critical` per index: its bounds checks
+        // cost 5 % of a whole invocation at n = 256.
+        let remaining = self.entry.remaining;
+        let behind = self.entries[self.pos..].iter();
+        behind
+            .zip(&self.completions[self.pos..])
+            .position(|(entry, &completion)| completion + remaining > entry.effective_critical_time)
+            .map(|offset| self.pos + offset)
+    }
 }
 
 impl Construction {
@@ -100,7 +152,9 @@ impl Construction {
     ///
     /// This is the paper's §3.4 procedure, including the removal/reinsertion
     /// of already-present dependents (Figure 5) and the critical-time
-    /// advancement of Figure 4.
+    /// advancement of Figure 4. Whether a job is already scheduled is read
+    /// from a per-position stamp; only a member that is there is searched
+    /// for, to find its index.
     pub fn build_schedule(
         &mut self,
         ctx: &SchedulerContext<'_>,
@@ -111,11 +165,23 @@ impl Construction {
             members,
             schedule,
             tentative,
+            scheduled,
+            builds,
+            ..
         } = self;
         schedule.clear();
+        *builds += 1;
+        let build = *builds;
+        if scheduled.len() < ctx.jobs.len() {
+            scheduled.resize(ctx.jobs.len(), 0);
+        }
         for ranked in chains.iter() {
+            let chain = &members[ranked.members.clone()];
             // A job already inserted as someone else's dependent is settled.
-            if schedule.position(ranked.job, ops).is_some() {
+            // Every "already scheduled?" is charged as the ordered-structure
+            // lookup it stands for.
+            ops.charge_log(schedule.len());
+            if scheduled[*chain.last().expect("a chain ends in its own job")] == build {
                 continue;
             }
             tentative.clone_from(schedule);
@@ -123,12 +189,16 @@ impl Construction {
 
             // Insert from the tail of the chain (the job itself) toward the
             // head (its deepest dependent); every next member must precede
-            // the last.
+            // the last. A chain's members are distinct, so the only ones on
+            // the copy are those `schedule` already had.
             let mut limit: Option<usize> = None;
-            for &member in members[ranked.members.clone()].iter().rev() {
+            for &member in chain.iter().rev() {
                 let view = &ctx.jobs[member];
-                let pos = match tentative.position(view.id, ops) {
-                    Some(pos) => match limit {
+                let pos = if scheduled[member] == build {
+                    let pos = tentative
+                        .position(view.id, ops)
+                        .expect("a scheduled job is in the schedule");
+                    match limit {
                         Some(lim) if pos > lim => {
                             // Figure 5 Case 2: the dependent sits after the
                             // job that needs it; move it forward, advancing
@@ -137,20 +207,77 @@ impl Construction {
                             tentative.insert_before(entry, Some(lim), ops)
                         }
                         _ => pos,
-                    },
-                    None => {
-                        let entry = Entry {
-                            job: view.id,
-                            effective_critical_time: view.absolute_critical_time,
-                            remaining: view.remaining,
-                        };
-                        tentative.insert_before(entry, limit, ops)
                     }
+                } else {
+                    ops.charge_log(tentative.len());
+                    let entry = Entry {
+                        job: view.id,
+                        effective_critical_time: view.absolute_critical_time,
+                        remaining: view.remaining,
+                    };
+                    tentative.insert_before(entry, limit, ops)
                 };
                 limit = Some(pos);
             }
             let kind = if tentative.is_feasible(ctx.now, ops) {
                 std::mem::swap(schedule, tentative);
+                for &member in chain {
+                    scheduled[member] = build;
+                }
+                lfrt_trace::EventKind::SchedAdmit
+            } else {
+                lfrt_trace::EventKind::SchedAbort
+            };
+            lfrt_trace::emit(kind, lfrt_trace::Site::Sched, chain.len() as u64);
+        }
+        schedule.jobs()
+    }
+
+    /// Examines singleton chains in the given order, trying each job where
+    /// it lands in ECF order instead of on a copy: without dependents an
+    /// insertion moves nothing but the entries behind it, so `admits` decides
+    /// from the new entry's completion (derived from its predecessor's) and
+    /// the entries behind it, and charges what it looked at. An admitted job
+    /// is inserted; a rejected one leaves nothing to undo. Returns the
+    /// schedule's jobs, head first.
+    pub fn admit_in_place(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        ops: &mut OpsCounter,
+        mut admits: impl FnMut(&Candidate<'_>, &mut OpsCounter) -> bool,
+    ) -> Vec<JobId> {
+        let Self {
+            chains,
+            members,
+            schedule,
+            completions,
+            ..
+        } = self;
+        schedule.clear();
+        completions.clear();
+        for ranked in chains.iter() {
+            let view = &ctx.jobs[members[ranked.members.start]];
+            let entry = Entry {
+                job: view.id,
+                effective_critical_time: view.absolute_critical_time,
+                remaining: view.remaining,
+            };
+            let pos = schedule.ecf_position(entry.effective_critical_time);
+            let ahead = pos.checked_sub(1).map_or(ctx.now, |last| completions[last]);
+            let completion = ahead + entry.remaining;
+            let candidate = Candidate {
+                entries: schedule.entries(),
+                completions: completions.as_slice(),
+                pos,
+                entry,
+                completion,
+            };
+            let kind = if admits(&candidate, ops) {
+                schedule.insert_at(pos, entry);
+                completions.insert(pos, completion);
+                for later in &mut completions[pos + 1..] {
+                    *later += entry.remaining;
+                }
                 lfrt_trace::EventKind::SchedAdmit
             } else {
                 lfrt_trace::EventKind::SchedAbort

@@ -1,10 +1,9 @@
-use lfrt_sim::{Decision, SchedulerContext, SimTime, UaScheduler};
+use lfrt_sim::{Decision, SchedulerContext, UaScheduler};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::construct::Construction;
+use crate::construct::{Candidate, Construction};
 use crate::ops::OpsCounter;
-use crate::schedule::Entry;
 
 /// Lock-free RUA with *randomized feasibility testing* — the speed/accuracy
 /// tradeoff the paper's §3.6 points at ("the step of testing for schedule
@@ -19,16 +18,18 @@ use crate::schedule::Entry;
 /// `O(log n)` from a positional tree augmented with remaining-time subtree
 /// sums, so the charged per-insertion cost drops to `O((k+1)·log n)` and
 /// the whole invocation to `O(n·k·log n)` — asymptotically below exact RUA
-/// for constant `k`. (This reference implementation keeps every entry's
-/// completion time in a flat array it shifts on each kept insertion, and
-/// charges the abstract tree cost, the same convention the other schedulers
-/// use for ordered-structure operations.)
+/// for constant `k`. (This reference implementation admits in place on the
+/// same loop as exact lock-free RUA, which keeps every entry's completion
+/// time in a flat array it shifts on each kept insertion, and charges the
+/// abstract tree cost, the same convention the other schedulers use for
+/// ordered-structure operations.)
 ///
 /// The tradeoff: an unsampled entry may silently become infeasible, so a
 /// job that exact RUA would reject can be kept and later aborted at its
 /// critical time. On the workloads of the paper's evaluation the utility
-/// loss is small (see `rua_behavior` tests and the `scheduler_cost` bench),
-/// which is why the paper calls the optimization out as viable.
+/// loss is small (see `rua_behavior` tests; its host time is the benchmark's
+/// `core.lf_sampled_ns_n64`), which is why the paper calls the optimization
+/// out as viable.
 ///
 /// Seeded: identical inputs and seed give identical schedules.
 ///
@@ -52,8 +53,6 @@ struct Sampler {
     rng: StdRng,
     /// The positions sampled for one insertion, one slot per sample.
     picks: Vec<usize>,
-    /// Per schedule entry: when it completes if the schedule runs from `now`.
-    completions: Vec<SimTime>,
 }
 
 impl RuaLockFreeSampled {
@@ -64,7 +63,6 @@ impl RuaLockFreeSampled {
             sampler: Sampler {
                 rng: StdRng::seed_from_u64(seed),
                 picks: vec![0; samples],
-                completions: Vec::new(),
             },
             construction: Construction::default(),
         }
@@ -80,37 +78,14 @@ impl UaScheduler for RuaLockFreeSampled {
         let mut ops = OpsCounter::new();
         self.construction.rank_singletons(ctx, &mut ops);
         self.construction.sort_by_pud(&mut ops);
-
-        let Construction {
-            chains,
-            members,
-            schedule,
-            ..
-        } = &mut self.construction;
-        schedule.clear();
-        self.sampler.completions.clear();
-        for ranked in chains.iter() {
-            let view = &ctx.jobs[members[ranked.members.start]];
-            let entry = Entry {
-                job: view.id,
-                effective_critical_time: view.absolute_critical_time,
-                remaining: view.remaining,
-            };
-            // Tried where it would go, not on a copy: without dependents an
-            // insertion moves nothing but the entries behind it.
-            let pos = schedule.ecf_position(entry.effective_critical_time);
-            if self
-                .sampler
-                .admits(ctx.now, schedule.entries(), pos, &entry, &mut ops)
-            {
-                schedule.insert_before(entry, None, &mut ops);
-            } else {
-                // A rejected insertion was made, and is paid for, all the same.
-                ops.charge_log(schedule.len());
-            }
-        }
+        let sampler = &mut self.sampler;
+        let order = self
+            .construction
+            .admit_in_place(ctx, &mut ops, |candidate, ops| {
+                sampler.admits(candidate, ops)
+            });
         Decision {
-            order: schedule.jobs(),
+            order,
             ops: ops.total(),
             aborts: Vec::new(),
         }
@@ -118,70 +93,53 @@ impl UaScheduler for RuaLockFreeSampled {
 }
 
 impl Sampler {
-    /// Whether `entry`, inserted at `pos` of `entries`, passes the sampled
-    /// test — the entry itself is verified, then one random entry behind it
-    /// per sample (the only entries the insertion delays) — and if it does,
-    /// records the insertion in `completions`. Each verification is charged
-    /// at the `O(log n)` cost of a completion-time query on a sum-augmented
-    /// positional tree; `completions` is this reference implementation's
-    /// stand-in for that tree.
-    fn admits(
-        &mut self,
-        now: SimTime,
-        entries: &[Entry],
-        pos: usize,
-        entry: &Entry,
-        ops: &mut OpsCounter,
-    ) -> bool {
-        let len = entries.len() + 1;
+    /// Whether `candidate` passes the sampled test: the new entry itself is
+    /// verified, then one random entry behind it per sample (the only
+    /// entries the insertion delays). Each verification is charged at the
+    /// `O(log n)` cost of a completion-time query on a sum-augmented
+    /// positional tree, and the insertion at its `O(log n)` cost whether or
+    /// not it is kept.
+    fn admits(&mut self, candidate: &Candidate<'_>, ops: &mut OpsCounter) -> bool {
+        let scheduled = candidate.entries.len();
+        // A rejected insertion was made, and is paid for, all the same.
+        ops.charge_log(scheduled);
+        let len = scheduled + 1;
         // Verify the inserted entry (one tree query).
         ops.charge_log(len);
-        let ahead = pos
-            .checked_sub(1)
-            .map_or(now, |last| self.completions[last]);
-        let completion = ahead + entry.remaining;
-        if completion > entry.effective_critical_time {
+        if !candidate.fits() {
             return false;
         }
-        let behind = entries.len() - pos;
-        if behind > 0 && !self.picks.is_empty() {
-            // All the draws first, then all the lookups: neither loop waits
-            // for the other.
-            for pick in &mut self.picks {
-                *pick = pos + self.rng.random_range(0..behind);
-            }
-            // The distinct samples are queried front to back until one
-            // misses.
-            let mut first_miss = usize::MAX;
-            for &pick in &self.picks {
-                let completion = self.completions[pick] + entry.remaining;
-                if completion > entries[pick].effective_critical_time {
-                    first_miss = first_miss.min(pick);
-                }
-            }
-            // Not `contains`: on slices this short its early-exit search costs
-            // more than the rest of the test.
-            let repeats = |drawn: usize| {
-                let earlier = &self.picks[..drawn];
-                earlier
-                    .iter()
-                    .fold(false, |seen, &pick| seen | (pick == self.picks[drawn]))
-            };
-            let queried = (0..self.picks.len())
-                .filter(|&drawn| self.picks[drawn] <= first_miss && !repeats(drawn))
-                .count();
-            for _ in 0..queried {
-                ops.charge_log(len);
-            }
-            if first_miss != usize::MAX {
-                return false;
+        let behind = scheduled - candidate.pos;
+        if behind == 0 || self.picks.is_empty() {
+            return true;
+        }
+        // All the draws first, then all the lookups: neither loop waits for
+        // the other.
+        for pick in &mut self.picks {
+            *pick = candidate.pos + self.rng.random_range(0..behind);
+        }
+        // The distinct samples are queried front to back until one misses.
+        let mut first_miss = usize::MAX;
+        for &pick in &self.picks {
+            if candidate.delays_past_critical(pick) {
+                first_miss = first_miss.min(pick);
             }
         }
-        self.completions.insert(pos, completion);
-        for later in &mut self.completions[pos + 1..] {
-            *later += entry.remaining;
+        // Not `contains`: on slices this short its early-exit search costs
+        // more than the rest of the test.
+        let repeats = |drawn: usize| {
+            let earlier = &self.picks[..drawn];
+            earlier
+                .iter()
+                .fold(false, |seen, &pick| seen | (pick == self.picks[drawn]))
+        };
+        let queried = (0..self.picks.len())
+            .filter(|&drawn| self.picks[drawn] <= first_miss && !repeats(drawn))
+            .count();
+        for _ in 0..queried {
+            ops.charge_log(len);
         }
-        true
+        first_miss == usize::MAX
     }
 }
 

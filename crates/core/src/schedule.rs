@@ -123,6 +123,12 @@ impl TentativeSchedule {
         pos
     }
 
+    /// Inserts `entry` at `pos`, which the caller found with
+    /// [`TentativeSchedule::ecf_position`] and has already paid for.
+    pub(crate) fn insert_at(&mut self, pos: usize, entry: Entry) {
+        self.entries.insert(pos, entry);
+    }
+
     /// Removes the entry at `pos` and returns it.
     ///
     /// # Panics

@@ -1,10 +1,10 @@
 //! Steady-state heap use of the schedulers, under a counting allocator.
 //!
-//! A scheduler keeps its scratch (dependency tables, chains, both tentative
-//! schedule buffers, sort keys) between invocations, so once one call has
-//! grown the buffers, an invocation on a context of the same size asks the
-//! allocator for exactly one thing: the `order` vector it returns in its
-//! `Decision`. This is the deterministic stand-in for a timing test: a
+//! A scheduler keeps its scratch (dependency tables, chains, schedule
+//! buffers, completion times, sort keys) between invocations, so once one
+//! call has grown the buffers, an invocation on a context of the same size
+//! asks the allocator for exactly one thing: the `order` vector it returns
+//! in its `Decision`. This is the deterministic stand-in for a timing test: a
 //! per-candidate schedule clone or a per-job chain `Vec` shows up here as a
 //! count, on any host.
 //!
@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use lfrt_core::{Edf, RuaLockBased, RuaLockFree};
+use lfrt_core::{Edf, RuaLockBased, RuaLockFree, RuaLockFreeSampled};
 use lfrt_sim::{JobId, JobView, ObjectId, SchedulerContext, TaskId, UaScheduler};
 use lfrt_tuf::Tuf;
 
@@ -109,6 +109,10 @@ fn a_warm_scheduler_allocates_only_the_order_it_returns() {
     let independent = context(&tufs, false);
     let chained = context(&tufs, true);
     assert_eq!(steady_state_requests(RuaLockFree::new(), &independent), 1);
+    assert_eq!(
+        steady_state_requests(RuaLockFreeSampled::new(4, 1), &independent),
+        1
+    );
     assert_eq!(steady_state_requests(RuaLockBased::new(), &chained), 1);
     assert_eq!(steady_state_requests(RuaLockBased::new(), &independent), 1);
     assert_eq!(steady_state_requests(Edf::new(), &independent), 1);
